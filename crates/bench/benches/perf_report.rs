@@ -20,7 +20,7 @@ use std::fs;
 
 use stash_bench::{bench_iters, results_dir, run_sweep, SweepJob};
 use stash_ddl::config::{EpochMode, TrainConfig};
-use stash_ddl::engine::{run_epoch_series, EngineOptions};
+use stash_ddl::engine::{run, RunSpec};
 use stash_dnn::zoo;
 use stash_hwtopo::cluster::ClusterSpec;
 use stash_hwtopo::instance::{p3_16xlarge, p3_24xlarge, p3_2xlarge, p3_8xlarge};
@@ -82,12 +82,16 @@ fn main() {
         32 * bench_iters(),
     );
     series_cfg.epoch_mode = EpochMode::Full;
-    let sr = run_epoch_series(&series_cfg, &EngineOptions { fast_forward: true }, None)
-        .expect("series leg failed");
+    let spec = RunSpec {
+        series: true,
+        fast_forward: true,
+        ..RunSpec::default()
+    };
+    let sr = run(&series_cfg, spec).expect("series leg failed");
     stash_telemetry::disable();
     let series_stats = serde_json::json!({
-        "cluster": sr.run.report.cluster,
-        "model": sr.run.report.model,
+        "cluster": sr.report.cluster,
+        "model": sr.report.model,
         "iteration_cov": sr.series.iteration_cov(),
         "spike_count": sr.series.spike_count(),
         "samples": sr.series.samples.len() as u64,

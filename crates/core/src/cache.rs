@@ -25,7 +25,7 @@ use std::sync::Mutex;
 
 use serde::Serialize;
 use stash_ddl::config::TrainConfig;
-use stash_ddl::engine::{run_epoch, run_epoch_in, EngineArena};
+use stash_ddl::engine::{run, run_epoch, EngineArena, RunSpec};
 use stash_simkit::time::SimDuration;
 
 use crate::error::ProfileError;
@@ -192,7 +192,15 @@ impl MeasurementCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         stash_telemetry::metrics::CACHE_MISSES.inc();
-        let t = run_epoch_in(cfg, arena)?.epoch_time;
+        let t = run(
+            cfg,
+            RunSpec {
+                arena: Some(arena),
+                ..RunSpec::default()
+            },
+        )?
+        .report
+        .epoch_time;
         self.locked().insert(key, t);
         Ok(t)
     }

@@ -32,8 +32,8 @@ use stash_trace::{Category, SharedTracer, Track};
 use crate::config::{ActiveGpus, DataMode, TrainConfig};
 use crate::error::TrainError;
 use crate::perf_stats;
-use crate::recovery::{FaultOutcome, FaultRecord, FaultedRun, StragglerDetection};
-use crate::report::{EpochReport, IterationSample};
+use crate::recovery::{FaultOutcome, FaultRecord, StragglerDetection};
+use crate::report::{EpochReport, IterationSample, Run};
 
 /// Panicking accessor for engine invariants. The engine's phase machine
 /// guarantees a number of `Option` fields are populated whenever the
@@ -151,11 +151,33 @@ struct Comm {
     inflight_remaining: usize,
 }
 
-/// Knobs controlling *how* an epoch is simulated. Every combination
-/// produces a bit-identical [`EpochReport`]; the options only trade
-/// simulation effort.
-#[derive(Debug, Clone)]
-pub struct EngineOptions {
+/// What one simulated epoch should observe and reuse, beyond its
+/// [`TrainConfig`]. Every combination produces a bit-identical
+/// [`EpochReport`]: the spec only adds observers (tracer, series), fault
+/// injection, or trades simulation effort (arena, fast-forward).
+#[derive(Debug)]
+pub struct RunSpec<'a> {
+    /// Faults to inject through the event queue, with the recovery
+    /// machinery (checkpoint/restart replay, elastic re-formation,
+    /// bounded-timeout straggler detection) engaged. An empty plan is
+    /// bit-identical to no plan.
+    pub plan: Option<&'a FaultPlan>,
+    /// Span recorder: compute, stall-wait, all-reduce-bucket, loader and
+    /// recovery/straggler spans are emitted as the simulation executes.
+    /// An enabled tracer disables fast-forward; a disabled one
+    /// ([`stash_trace::Tracer::disabled`]) constructs and allocates
+    /// nothing.
+    pub tracer: Option<&'a SharedTracer>,
+    /// Caller-owned flow network, event queue and scratch buffers, so
+    /// repeated epochs stop paying per-epoch allocation.
+    pub arena: Option<&'a mut EngineArena>,
+    /// Record the iteration-resolved [`IterSeries`]: one sample per
+    /// iteration of the reporting rank, fast-forwarded spans as
+    /// compressed regions, fault windows as annotations. Rides behind the
+    /// process-wide telemetry switch ([`stash_telemetry::enabled`]); with
+    /// it off the series comes back empty. Unlike `record_trace`, series
+    /// recording keeps fast-forward on.
+    pub series: bool,
     /// Detect the exact periodic steady state of synthetic-data runs and
     /// extend the remaining iterations analytically instead of simulating
     /// them event by event. Defaults from the `STASH_FAST_FORWARD`
@@ -164,16 +186,20 @@ pub struct EngineOptions {
     pub fast_forward: bool,
 }
 
-impl Default for EngineOptions {
+impl Default for RunSpec<'_> {
     fn default() -> Self {
-        EngineOptions {
+        RunSpec {
+            plan: None,
+            tracer: None,
+            arena: None,
+            series: false,
             fast_forward: fast_forward_env_default(),
         }
     }
 }
 
 /// `STASH_FAST_FORWARD` parsed once per process: reading environment
-/// variables allocates, and [`EngineOptions::default`] sits on the
+/// variables allocates, and [`RunSpec::default`] sits on the
 /// zero-allocation hot path.
 fn fast_forward_env_default() -> bool {
     static FF_ENV: OnceLock<bool> = OnceLock::new();
@@ -183,8 +209,8 @@ fn fast_forward_env_default() -> bool {
 /// Reusable simulation state: the flow network, the event queue and the
 /// engine's pooled scratch buffers.
 ///
-/// [`run_epoch_in`] borrows an arena for the duration of one epoch and
-/// returns it with all capacity intact, so a sweep that simulates
+/// [`run`] borrows an arena ([`RunSpec::arena`]) for the duration of one
+/// epoch and returns it with all capacity intact, so a sweep that simulates
 /// thousands of configurations allocates its arenas once per worker
 /// instead of once per epoch. A reused arena is observationally identical
 /// to a fresh one — reports are bit-identical either way.
@@ -252,8 +278,8 @@ struct SeriesMark {
 }
 
 /// Live iteration-series recording state: the bounded exact-sum recorder
-/// plus the delta baseline. Constructed only when a series entry point
-/// was used **and** the telemetry switch is on; `None` otherwise, so the
+/// plus the delta baseline. Constructed only when [`RunSpec::series`]
+/// was set **and** the telemetry switch is on; `None` otherwise, so the
 /// default path records nothing and allocates nothing.
 #[derive(Debug)]
 struct SeriesState {
@@ -332,63 +358,10 @@ struct FaultRuntime {
 /// [`TrainError::OutOfMemory`] when the model + batch exceeds any
 /// participating GPU's memory.
 pub fn run_epoch(cfg: &TrainConfig) -> Result<EpochReport, TrainError> {
-    run_epoch_inner(cfg, None, &EngineOptions::default(), None, None, false).map(|(r, _)| r.report)
+    run(cfg, RunSpec::default()).map(|r| r.report)
 }
 
-/// [`run_epoch`] with explicit [`EngineOptions`]. The report is
-/// bit-identical for every option combination.
-///
-/// # Errors
-///
-/// As for [`run_epoch`].
-pub fn run_epoch_with(
-    cfg: &TrainConfig,
-    options: &EngineOptions,
-) -> Result<EpochReport, TrainError> {
-    run_epoch_inner(cfg, None, options, None, None, false).map(|(r, _)| r.report)
-}
-
-/// [`run_epoch`] reusing a caller-owned [`EngineArena`] for the flow
-/// network, event queue and scratch buffers: repeated measurements stop
-/// paying per-epoch allocation and deallocation. The report is
-/// bit-identical to a fresh-arena run.
-///
-/// # Errors
-///
-/// As for [`run_epoch`].
-pub fn run_epoch_in(cfg: &TrainConfig, arena: &mut EngineArena) -> Result<EpochReport, TrainError> {
-    run_epoch_inner(
-        cfg,
-        None,
-        &EngineOptions::default(),
-        None,
-        Some(arena),
-        false,
-    )
-    .map(|(r, _)| r.report)
-}
-
-/// [`run_epoch_in`] with explicit [`EngineOptions`].
-///
-/// # Errors
-///
-/// As for [`run_epoch`].
-pub fn run_epoch_in_with(
-    cfg: &TrainConfig,
-    options: &EngineOptions,
-    arena: &mut EngineArena,
-) -> Result<EpochReport, TrainError> {
-    run_epoch_inner(cfg, None, options, None, Some(arena), false).map(|(r, _)| r.report)
-}
-
-/// [`run_epoch`] with a trace recorder attached: compute, stall-wait,
-/// all-reduce-bucket and loader-pipeline spans are emitted through
-/// `tracer` as the simulation executes.
-///
-/// The report is bit-identical to the untraced run — tracing observes the
-/// engine, it never perturbs it. With a disabled tracer
-/// ([`stash_trace::Tracer::disabled`]) this *is* the untraced run: no
-/// event is constructed and nothing is allocated.
+/// [`run_epoch`] with `tracer` attached (see [`RunSpec::tracer`]).
 ///
 /// # Errors
 ///
@@ -397,166 +370,46 @@ pub fn run_epoch_traced(
     cfg: &TrainConfig,
     tracer: &SharedTracer,
 ) -> Result<EpochReport, TrainError> {
-    run_epoch_inner(
-        cfg,
-        Some(tracer),
-        &EngineOptions::default(),
-        None,
-        None,
-        false,
-    )
-    .map(|(r, _)| r.report)
+    let spec = RunSpec {
+        tracer: Some(tracer),
+        ..RunSpec::default()
+    };
+    run(cfg, spec).map(|r| r.report)
 }
 
-/// Runs one epoch with `plan`'s faults injected through the event queue
-/// and the engine's recovery machinery (checkpoint/restart replay,
-/// elastic re-formation, bounded-timeout straggler detection) engaged.
-///
-/// An **empty** plan is bit-identical to [`run_epoch`] — fault handling
-/// is only constructed for plans that schedule at least one event.
+/// Runs one epoch under `cfg` with the plan, observers and arena `spec`
+/// names: the single entry point every other one forwards to.
 ///
 /// # Errors
 ///
 /// As for [`run_epoch`], plus [`TrainError::InvalidFaultPlan`] when the
 /// plan does not fit the cluster.
-pub fn run_epoch_faulted(cfg: &TrainConfig, plan: &FaultPlan) -> Result<FaultedRun, TrainError> {
-    run_epoch_inner(
-        cfg,
-        None,
-        &EngineOptions::default(),
-        Some(plan),
-        None,
-        false,
-    )
-    .map(|(r, _)| r)
-}
-
-/// [`run_epoch_faulted`] with explicit [`EngineOptions`]. Steady-state
-/// fast-forward disengages while any fault is pending or being recovered
-/// from and re-engages once the plan is quiescent, so the report is
-/// bit-identical across option combinations.
-///
-/// # Errors
-///
-/// As for [`run_epoch_faulted`].
-pub fn run_epoch_faulted_with(
-    cfg: &TrainConfig,
-    plan: &FaultPlan,
-    options: &EngineOptions,
-) -> Result<FaultedRun, TrainError> {
-    run_epoch_inner(cfg, None, options, Some(plan), None, false).map(|(r, _)| r)
-}
-
-/// [`run_epoch_faulted`] with a trace recorder attached: recovery and
-/// straggler stall flow into the trace as first-class span categories
-/// ([`Category::Recovery`], [`Category::Straggler`]) so critical-path
-/// attribution and `stash report` work on chaos runs unchanged.
-///
-/// # Errors
-///
-/// As for [`run_epoch_faulted`].
-pub fn run_epoch_faulted_traced(
-    cfg: &TrainConfig,
-    plan: &FaultPlan,
-    tracer: &SharedTracer,
-) -> Result<FaultedRun, TrainError> {
-    run_epoch_inner(
-        cfg,
-        Some(tracer),
-        &EngineOptions::default(),
-        Some(plan),
-        None,
-        false,
-    )
-    .map(|(r, _)| r)
-}
-
-/// An epoch result paired with its iteration-resolved time series.
-#[derive(Debug)]
-pub struct SeriesRun {
-    /// The report and fault outcome, bit-identical to the same epoch run
-    /// through any other entry point.
-    pub run: FaultedRun,
-    /// The recorded series. Empty when the telemetry switch
-    /// ([`stash_telemetry::enabled`]) was off.
-    pub series: IterSeries,
-}
-
-/// Runs one epoch recording the iteration-resolved time series: one
-/// sample per iteration of the reporting rank (wall ns, the five stall
-/// categories, solver recomputes, queue-depth high-water), fast-forwarded
-/// spans as explicitly-marked compressed regions, fault windows as
-/// annotations. Recording rides behind the process-wide telemetry switch
-/// — with [`stash_telemetry::enabled`] off the series comes back empty —
-/// and never perturbs the simulation: the report is bit-identical to
-/// [`run_epoch`] / [`run_epoch_faulted`] with the same inputs, and the
-/// series category totals reconcile against the report's stall
-/// accumulators at integer-ns exactness (extrapolation factor included).
-///
-/// Unlike `record_trace`, series recording does **not** disable
-/// steady-state fast-forward: compressed regions are first-class samples.
-///
-/// # Errors
-///
-/// As for [`run_epoch_faulted`] (or [`run_epoch`] when `plan` is `None`).
-pub fn run_epoch_series(
-    cfg: &TrainConfig,
-    options: &EngineOptions,
-    plan: Option<&FaultPlan>,
-) -> Result<SeriesRun, TrainError> {
-    run_epoch_inner(cfg, None, options, plan, None, true)
-        .map(|(run, series)| SeriesRun { run, series })
-}
-
-/// [`run_epoch_series`] reusing a caller-owned [`EngineArena`].
-///
-/// # Errors
-///
-/// As for [`run_epoch_series`].
-pub fn run_epoch_series_in(
-    cfg: &TrainConfig,
-    options: &EngineOptions,
-    plan: Option<&FaultPlan>,
-    arena: &mut EngineArena,
-) -> Result<SeriesRun, TrainError> {
-    run_epoch_inner(cfg, None, options, plan, Some(arena), true)
-        .map(|(run, series)| SeriesRun { run, series })
-}
-
-fn run_epoch_inner(
-    cfg: &TrainConfig,
-    tracer: Option<&SharedTracer>,
-    options: &EngineOptions,
-    plan: Option<&FaultPlan>,
-    arena: Option<&mut EngineArena>,
-    record_series: bool,
-) -> Result<(FaultedRun, IterSeries), TrainError> {
+pub fn run(cfg: &TrainConfig, mut spec: RunSpec<'_>) -> Result<Run, TrainError> {
     cfg.validate()?;
-    if let Some(p) = plan {
+    if let Some(p) = spec.plan {
         p.validate(cfg.cluster.world_size(), cfg.cluster.node_count())
             .map_err(|e| TrainError::InvalidFaultPlan(e.to_string()))?;
     }
     for inst in &cfg.cluster.instances {
-        let spec = inst.gpu.spec();
+        let gpu = inst.gpu.spec();
         let est = memory::estimate_with(&cfg.model, cfg.per_gpu_batch, cfg.precision);
-        if est.total() > spec.mem_bytes {
+        if est.total() > gpu.mem_bytes {
             return Err(TrainError::OutOfMemory {
-                gpu: spec.name.to_string(),
+                gpu: gpu.name.to_string(),
                 required_bytes: est.total(),
-                capacity_bytes: spec.mem_bytes,
+                capacity_bytes: gpu.mem_bytes,
             });
         }
     }
     let mut local = EngineArena::default();
-    let arena = arena.unwrap_or(&mut local);
-    let mut engine = Engine::new(cfg, options, plan, arena, record_series)?;
-    if let Some(t) = tracer {
+    let arena = spec.arena.take().unwrap_or(&mut local);
+    let mut engine = Engine::new(cfg, &spec, arena)?;
+    if let Some(t) = spec.tracer {
         engine.attach_tracer(t);
     }
     let result = engine.run();
-    let series = engine.take_series();
     engine.into_arena(arena);
-    result.map(|run| (run, series))
+    result
 }
 
 struct Engine<'a> {
@@ -613,7 +466,7 @@ struct Engine<'a> {
     loader_work: VecDeque<(usize, LoaderAction)>,
     /// Steady-state fast-forward detector; `None` when ineligible
     /// (real-data input, tracing, per-iteration trace recording, or
-    /// disabled via [`EngineOptions`]).
+    /// disabled via [`RunSpec::fast_forward`]).
     ff: Option<FfState>,
     /// Fault injector and recovery machinery; `None` unless a non-empty
     /// [`FaultPlan`] was supplied, in which case every fault branch is
@@ -626,8 +479,8 @@ struct Engine<'a> {
     /// Flow-network recompute counters at construction, so per-epoch deltas
     /// survive arena reuse.
     net_stats0: (u64, u64),
-    /// Iteration-series recorder; `None` unless a series entry point was
-    /// used with the telemetry switch on. Pure observation — never
+    /// Iteration-series recorder; `None` unless [`RunSpec::series`] was
+    /// set with the telemetry switch on. Pure observation — never
     /// perturbs the simulation.
     series: Option<SeriesState>,
 }
@@ -644,10 +497,8 @@ impl std::fmt::Debug for Engine<'_> {
 impl<'a> Engine<'a> {
     fn new(
         cfg: &'a TrainConfig,
-        options: &EngineOptions,
-        fault_plan: Option<&FaultPlan>,
+        spec: &RunSpec<'_>,
         arena: &mut EngineArena,
-        record_series: bool,
     ) -> Result<Engine<'a>, TrainError> {
         let mut net = std::mem::take(&mut arena.net);
         if net.link_count() > 0 {
@@ -746,7 +597,7 @@ impl<'a> Engine<'a> {
         // (loader pipelines have their own long-period state), no
         // per-iteration trace samples, and enough iterations for the
         // detector to confirm a cycle and still have something to skip.
-        let ff = (options.fast_forward
+        let ff = (spec.fast_forward
             && cfg.data.is_synthetic()
             && !cfg.record_trace
             && sim_iters > u64::from(FF_CONFIRM) + 2)
@@ -765,7 +616,7 @@ impl<'a> Engine<'a> {
 
         // Fault machinery exists only for non-empty plans: the empty-plan
         // path must stay bit-identical to the fault-free engine.
-        let faults = fault_plan.filter(|p| !p.is_empty()).map(|p| {
+        let faults = spec.plan.filter(|p| !p.is_empty()).map(|p| {
             let nodes = cfg.cluster.node_count();
             FaultRuntime {
                 plan: p.clone(),
@@ -883,9 +734,9 @@ impl<'a> Engine<'a> {
             ff_iterations: 0,
             net_stats0,
             // Behind the telemetry switch like every other self-observation
-            // layer: a series entry point with the switch off records
+            // layer: a series run with the switch off records
             // nothing (and allocates nothing).
-            series: (record_series && stash_telemetry::enabled()).then(|| SeriesState {
+            series: (spec.series && stash_telemetry::enabled()).then(|| SeriesState {
                 rec: SeriesRecorder::new(),
                 mark: SeriesMark {
                     recomputes: net_stats0.0,
@@ -1055,7 +906,7 @@ impl<'a> Engine<'a> {
         s.rec.finish(end.as_nanos())
     }
 
-    fn run(&mut self) -> Result<FaultedRun, TrainError> {
+    fn run(&mut self) -> Result<Run, TrainError> {
         // Kick loaders and ranks.
         for node in 0..self.loaders.len() {
             if self.loaders[node].is_some() {
@@ -1133,7 +984,12 @@ impl<'a> Engine<'a> {
         }
         let report = self.build_report();
         let faults = self.fault_outcome();
-        Ok(FaultedRun { report, faults })
+        let series = self.take_series();
+        Ok(Run {
+            report,
+            faults,
+            series,
+        })
     }
 
     fn all_done(&self) -> bool {
@@ -2629,6 +2485,17 @@ mod tests {
         cfg
     }
 
+    fn faulted(cfg: &TrainConfig, plan: &FaultPlan) -> Run {
+        run(
+            cfg,
+            RunSpec {
+                plan: Some(plan),
+                ..RunSpec::default()
+            },
+        )
+        .expect("faulted")
+    }
+
     fn assert_tiles(r: &EpochReport) {
         let accounted =
             r.compute_time + r.data_wait + r.comm_wait + r.recovery_time + r.straggler_time;
@@ -2643,7 +2510,7 @@ mod tests {
     fn empty_plan_is_bit_identical_to_fault_free() {
         let cfg = full_cfg(ClusterSpec::single(p3_16xlarge()), 6);
         let plain = run_epoch(&cfg).expect("plain");
-        let faulted = run_epoch_faulted(&cfg, &FaultPlan::empty()).expect("faulted");
+        let faulted = faulted(&cfg, &FaultPlan::empty());
         assert_eq!(plain, faulted.report);
         assert_eq!(faulted.faults, crate::recovery::FaultOutcome::default());
     }
@@ -2661,7 +2528,7 @@ mod tests {
                 slowdown: 1.8,
             },
         });
-        let run = run_epoch_faulted(&cfg, &plan).expect("faulted");
+        let run = faulted(&cfg, &plan);
         assert!(run.report.epoch_time > base.epoch_time);
         assert!(run.report.straggler_time > SimDuration::ZERO);
         assert_eq!(run.report.recovery_time, SimDuration::ZERO);
@@ -2685,7 +2552,7 @@ mod tests {
                 restart_after: Some(base.epoch_time.mul_f64(0.1)),
             },
         });
-        let run = run_epoch_faulted(&cfg, &plan).expect("faulted");
+        let run = faulted(&cfg, &plan);
         assert!(run.report.epoch_time > base.epoch_time);
         assert!(run.report.recovery_time > SimDuration::ZERO);
         assert!(run.faults.replayed_iterations > 0);
@@ -2709,7 +2576,7 @@ mod tests {
                 restart_after: None,
             },
         });
-        let run = run_epoch_faulted(&cfg, &plan).expect("faulted");
+        let run = faulted(&cfg, &plan);
         assert_eq!(run.faults.dead_nodes, vec![1]);
         assert_eq!(run.report.world, 4, "survivor world after re-formation");
         assert!(run.report.recovery_time > SimDuration::ZERO);
@@ -2725,14 +2592,15 @@ mod tests {
         let cfg = full_cfg(ClusterSpec::single(p3_16xlarge()), 10);
         let base = run_epoch(&cfg).expect("baseline");
         let plan = FaultPlan::seeded(11, 8, 1, base.epoch_time);
-        let a = run_epoch_faulted(&cfg, &plan).expect("a");
-        let b = run_epoch_faulted(&cfg, &plan).expect("b");
+        let a = faulted(&cfg, &plan);
+        let b = faulted(&cfg, &plan);
         assert_eq!(a, b);
-        let no_ff = run_epoch_faulted_with(
+        let no_ff = run(
             &cfg,
-            &plan,
-            &EngineOptions {
+            RunSpec {
+                plan: Some(&plan),
                 fast_forward: false,
+                ..RunSpec::default()
             },
         )
         .expect("no ff");

@@ -33,19 +33,17 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod perf_stats;
+pub mod reconcile;
 pub mod recovery;
 pub mod report;
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
     pub use crate::config::{ActiveGpus, DataMode, EpochMode, Straggler, TrainConfig};
-    pub use crate::engine::{
-        run_epoch, run_epoch_faulted, run_epoch_faulted_traced, run_epoch_faulted_with,
-        run_epoch_in, run_epoch_series, run_epoch_series_in, run_epoch_traced, run_epoch_with,
-        EngineArena, EngineOptions, SeriesRun,
-    };
+    pub use crate::engine::{run, run_epoch, run_epoch_traced, EngineArena, RunSpec};
     pub use crate::error::TrainError;
     pub use crate::perf_stats::PerfSnapshot;
-    pub use crate::recovery::{FaultOutcome, FaultRecord, FaultedRun, StragglerDetection};
-    pub use crate::report::EpochReport;
+    pub use crate::reconcile::{reconcile, ReconcileError, Stall};
+    pub use crate::recovery::{FaultOutcome, FaultRecord, StragglerDetection};
+    pub use crate::report::{EpochReport, Run};
 }

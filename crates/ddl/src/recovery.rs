@@ -1,7 +1,7 @@
 //! Fault-injection outcomes: what the engine observed and did while
 //! surviving a [`stash_faults::plan::FaultPlan`].
 //!
-//! The [`EpochReport`] stays the single
+//! The [`EpochReport`](crate::report::EpochReport) stays the single
 //! timing contract — faulted runs only add the `recovery_time` and
 //! `straggler_time` accumulators there. Everything fault-*specific*
 //! (per-event stall blame, straggler detections, replay counts, nodes
@@ -11,8 +11,6 @@
 
 use serde::Serialize;
 use stash_simkit::time::{SimDuration, SimTime};
-
-use crate::report::EpochReport;
 
 /// One bounded-timeout straggler detection on the all-reduce path.
 ///
@@ -59,17 +57,6 @@ pub struct FaultOutcome {
     pub replayed_iterations: u64,
     /// Nodes permanently lost to elastic re-formation.
     pub dead_nodes: Vec<usize>,
-}
-
-/// Result of [`run_epoch_faulted`](crate::engine::run_epoch_faulted): the
-/// ordinary timing report plus the fault outcome.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FaultedRun {
-    /// The epoch's timing breakdown (recovery and straggler stall
-    /// included as first-class accumulators).
-    pub report: EpochReport,
-    /// Fault-specific observations.
-    pub faults: FaultOutcome,
 }
 
 #[cfg(test)]

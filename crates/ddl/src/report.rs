@@ -2,6 +2,9 @@
 
 use serde::Serialize;
 use stash_simkit::time::SimDuration;
+use stash_telemetry::series::{IterSeries, SeriesMeta};
+
+use crate::recovery::FaultOutcome;
 
 /// Rank-0 timing of one simulated iteration (recorded when
 /// [`crate::config::TrainConfig::record_trace`] is set).
@@ -81,6 +84,34 @@ impl EpochReport {
     pub fn data_wait_fraction(&self) -> f64 {
         self.data_wait.ratio(self.epoch_time)
     }
+
+    /// The subject block of this epoch's `stash-series-v1` document.
+    #[must_use]
+    pub fn series_meta(&self) -> SeriesMeta {
+        SeriesMeta {
+            cluster: self.cluster.clone(),
+            model: self.model.clone(),
+            world: self.world as u64,
+            per_gpu_batch: self.per_gpu_batch,
+            iterations: self.iterations,
+            simulated_iterations: self.simulated_iterations,
+        }
+    }
+}
+
+/// Everything one [`run`](crate::engine::run) produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// The epoch's timing breakdown (recovery and straggler stall
+    /// included as first-class accumulators).
+    pub report: EpochReport,
+    /// Fault-specific observations; empty without a fault plan.
+    pub faults: FaultOutcome,
+    /// The iteration series; empty unless [`RunSpec::series`] was set and
+    /// the telemetry switch was on.
+    ///
+    /// [`RunSpec::series`]: crate::engine::RunSpec::series
+    pub series: IterSeries,
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, release build, full test suite, lint-clean
-# under clippy, warning-free rustdoc, and CLI smoke tests for the trace,
-# report, diff, chaos, perf, dash and flight-recorder subcommand surface.
+# Tier-1 gate: formatting, release build, full test suite, a compile check
+# of the out-of-workspace benchmark crate, lint-clean under clippy,
+# warning-free rustdoc, and CLI smoke tests for the trace, report, diff,
+# chaos, perf, dash and flight-recorder subcommand surface.
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,6 +10,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo build --release
 cargo test -q
+# The benchmark crate sits outside the workspace, so the build above never
+# compiles it; check it here so an API change it depends on fails tier-1.
+cargo check --offline --manifest-path stashbench/Cargo.toml
 cargo clippy --workspace -- -D warnings
 # Panic-free library gate: these crates deny clippy::unwrap_used and
 # clippy::expect_used via their [lints] tables; this invocation keeps the

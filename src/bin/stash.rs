@@ -104,24 +104,182 @@ fn parse_cluster(spec: &str) -> Result<ClusterSpec, String> {
     })
 }
 
-fn parse_batch(args: &[String]) -> u64 {
-    args.iter()
-        .position(|a| a == "-b" || a == "--batch")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
+/// A command's outcome: its exit code, or a message for stderr and exit
+/// code 1.
+type CmdResult = Result<ExitCode, String>;
+
+/// The value after the first of `names` in `args`: `None` when the flag
+/// is absent, an error when it is the last argument.
+fn flag_val<'a>(args: &'a [String], names: &[&str]) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| names.contains(&a.as_str())) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v)),
+            None => Err(format!("{} wants a value", args[i])),
+        },
+    }
 }
 
-fn stash_for(model: Model, batch: u64) -> Stash {
-    let dataset = if model.name.starts_with("BERT") {
+/// [`flag_val`] parsed as a `T` that passes `valid`; `want` describes
+/// the accepted values in the error.
+fn flag_parse<T: std::str::FromStr>(
+    args: &[String],
+    names: &[&str],
+    want: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Option<T>, String> {
+    let Some(v) = flag_val(args, names)? else {
+        return Ok(None);
+    };
+    match v.parse() {
+        Ok(x) if valid(&x) => Ok(Some(x)),
+        _ => Err(format!("{} wants {want}, got '{v}'", names[0])),
+    }
+}
+
+/// `-b`/`--batch`, default 32.
+fn parse_batch(args: &[String]) -> Result<u64, String> {
+    let batch = flag_parse(args, &["-b", "--batch"], "a positive integer", |&b| b >= 1)?;
+    Ok(batch.unwrap_or(32))
+}
+
+/// The dataset a model trains on: SQuAD for BERT, ImageNet otherwise.
+fn dataset_for(model: &Model) -> DatasetSpec {
+    if model.name.starts_with("BERT") {
         DatasetSpec::squad2()
     } else {
         DatasetSpec::imagenet1k()
-    };
+    }
+}
+
+fn stash_for(model: Model, batch: u64) -> Stash {
+    let dataset = dataset_for(&model);
     Stash::new(model).with_batch(batch).with_dataset(dataset)
 }
 
-fn cmd_catalog() -> ExitCode {
+/// The model and cluster a command runs, from its first two positionals
+/// in either order: `p3.2xlarge resnet50` (the paper's instance-first
+/// habit) or `resnet50 p3.8xlarge*2`.
+struct Subject<'a> {
+    model: Model,
+    cluster: ClusterSpec,
+    model_name: &'a str,
+    cluster_spec: &'a str,
+}
+
+impl<'a> Subject<'a> {
+    fn parse(args: &'a [String], usage: &str) -> Result<Subject<'a>, String> {
+        let (Some(first), Some(second)) = (args.first(), args.get(1)) else {
+            return Err(usage.to_string());
+        };
+        // Instance first when the second names a model or the first names
+        // an instance; otherwise model first, so a misspelt name gets the
+        // suggestion for its own kind.
+        let instance_first = zoo::by_name(first).is_none()
+            && (zoo::by_name(second).is_some() || ClusterSpec::parse(first).is_ok());
+        let (model_name, cluster_spec) = if instance_first {
+            (second, first)
+        } else {
+            (first, second)
+        };
+        Ok(Subject {
+            model: lookup_model(model_name)?,
+            cluster: parse_cluster(cluster_spec)?,
+            model_name,
+            cluster_spec,
+        })
+    }
+}
+
+/// `<model>_<cluster>`, for default output file names.
+fn slug(model_name: &str, cluster_spec: &str) -> String {
+    format!(
+        "{}_{}",
+        model_name.to_lowercase(),
+        cluster_spec.replace('*', "x")
+    )
+}
+
+fn write_creating_dirs(path: &str, text: &str) -> Result<(), String> {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        }
+    }
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+fn pretty(doc: &serde_json::Value) -> Result<String, String> {
+    serde_json::to_string_pretty(doc).map_err(|e| format!("cannot serialize JSON: {e}"))
+}
+
+/// The window `trace` and `report` simulate: 12 sampled iterations on
+/// real warm-cache data, so fetch, prep, H2D upload, compute and
+/// all-reduce each show on their own track.
+fn traced_window(s: &Subject, batch: u64) -> TrainConfig {
+    let mut cfg = TrainConfig::synthetic(s.cluster.clone(), s.model.clone(), batch, batch * 12);
+    cfg.epoch_mode = EpochMode::Sampled { iterations: 12 };
+    cfg.data = DataMode::Real {
+        dataset: dataset_for(&s.model),
+        cache: CacheState::Warm,
+    };
+    cfg
+}
+
+/// Runs `cfg` (under `plan`) into a JSON trace sink and returns the run
+/// with the recorded events.
+fn run_traced(
+    cfg: &TrainConfig,
+    plan: Option<&FaultPlan>,
+) -> Result<(Run, Vec<(u32, TraceEvent)>), TrainError> {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    let sink = Rc::new(RefCell::new(JsonSink::new()));
+    let tracer = shared(Tracer::new(sink.clone()));
+    let spec = RunSpec {
+        plan,
+        tracer: Some(&tracer),
+        ..RunSpec::default()
+    };
+    let run = run(cfg, spec)?;
+    let events = sink.borrow().events().to_vec();
+    Ok((run, events))
+}
+
+/// The rank-0 critical-path decomposition of a traced window.
+fn rank0_path(events: &[(u32, TraceEvent)]) -> CriticalPath {
+    CriticalPath::from_events(events, 0, Track::gpu(0, 0))
+}
+
+/// Runs `cfg` (under `plan`) recording its iteration series, telemetry
+/// switched on for the duration. The series engine is a pure observer,
+/// so the report never disagrees with a plain run of the same config —
+/// the zoo-wide differential test proves bit-identity.
+fn run_series(cfg: &TrainConfig, plan: Option<&FaultPlan>) -> Result<Run, TrainError> {
+    let was_enabled = stash::telemetry::enabled();
+    stash::telemetry::enable();
+    let spec = RunSpec {
+        plan,
+        series: true,
+        fast_forward: true,
+        ..RunSpec::default()
+    };
+    let out = run(cfg, spec);
+    if !was_enabled {
+        stash::telemetry::disable();
+    }
+    out
+}
+
+/// The run's `stash-series-v1` document, or `None` when it recorded no
+/// samples.
+fn series_doc(run: &Run) -> Option<serde_json::Value> {
+    (!run.series.is_empty()).then(|| run.series.to_json(&run.report.series_meta()))
+}
+
+fn cmd_catalog() -> CmdResult {
     println!(
         "{:<13} {:>10} {:>6} {:<14} {:>9} {:>8}",
         "instance", "gpus", "vcpus", "interconnect", "net_gbps", "$/hr"
@@ -137,10 +295,10 @@ fn cmd_catalog() -> ExitCode {
             i.price_per_hour
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_models() -> ExitCode {
+fn cmd_models() -> CmdResult {
     println!(
         "{:<14} {:>12} {:>8} {:>12}",
         "model", "gradients_M", "layers", "sync_points"
@@ -154,93 +312,56 @@ fn cmd_models() -> ExitCode {
             m.trainable_layer_count()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_profile(args: &[String]) -> ExitCode {
-    let (Some(model_name), Some(cluster_spec)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: stash profile <model> <cluster> [-b batch]");
-        return ExitCode::FAILURE;
-    };
-    let model = match lookup_model(model_name) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cluster = match parse_cluster(cluster_spec) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match stash_for(model, parse_batch(args)).profile(&cluster) {
-        Ok(report) => {
-            print!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("profiling failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn cmd_profile(args: &[String]) -> CmdResult {
+    let s = Subject::parse(args, "usage: stash profile <model> <cluster> [-b batch]")?;
+    let report = stash_for(s.model, parse_batch(args)?)
+        .profile(&s.cluster)
+        .map_err(|e| format!("profiling failed: {e}"))?;
+    print!("{report}");
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_advise(args: &[String]) -> ExitCode {
+fn cmd_advise(args: &[String]) -> CmdResult {
     let Some(model_name) = args.first() else {
-        eprintln!("usage: stash advise <model> [-b batch] [--cost|--time]");
-        return ExitCode::FAILURE;
+        return Err("usage: stash advise <model> [-b batch] [--cost|--time]".to_string());
     };
-    let model = match lookup_model(model_name) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let model = lookup_model(model_name)?;
     let objective = if args.iter().any(|a| a == "--time") {
         Objective::Time
     } else {
         Objective::Cost
     };
-    let stash = stash_for(model, parse_batch(args));
-    match recommend(&stash, &default_candidates(), objective) {
-        Ok(advice) => {
-            println!("{:<16} {:>12} {:>10}", "cluster", "epoch", "cost $");
-            for r in &advice.ranked {
-                println!(
-                    "{:<16} {:>12} {:>10.2}",
-                    r.cluster_name,
-                    r.cost.epoch_time.to_string(),
-                    r.cost.epoch_cost
-                );
-            }
-            for s in &advice.skipped {
-                println!("{:<16} skipped: {}", s.cluster_name, s.reason);
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("advisor failed: {e}");
-            ExitCode::FAILURE
-        }
+    let stash = stash_for(model, parse_batch(args)?);
+    let advice = recommend(&stash, &default_candidates(), objective)
+        .map_err(|e| format!("advisor failed: {e}"))?;
+    println!("{:<16} {:>12} {:>10}", "cluster", "epoch", "cost $");
+    for r in &advice.ranked {
+        println!(
+            "{:<16} {:>12} {:>10.2}",
+            r.cluster_name,
+            r.cost.epoch_time.to_string(),
+            r.cost.epoch_cost
+        );
     }
+    for s in &advice.skipped {
+        println!("{:<16} skipped: {}", s.cluster_name, s.reason);
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_probe(args: &[String]) -> ExitCode {
+fn cmd_probe(args: &[String]) -> CmdResult {
     let Some(name) = args.first() else {
-        eprintln!("usage: stash probe <instance>");
-        return ExitCode::FAILURE;
+        return Err("usage: stash probe <instance>".to_string());
     };
     let Some(inst) = by_name(name) else {
         let cat = catalog();
-        match nearest(name, cat.iter().map(|i| i.name.as_str())) {
-            Some(s) => eprintln!("unknown instance '{name}' — did you mean '{s}'?"),
-            None => eprintln!("unknown instance '{name}' (try `stash catalog`)"),
-        }
-        return ExitCode::FAILURE;
+        return Err(match nearest(name, cat.iter().map(|i| i.name.as_str())) {
+            Some(s) => format!("unknown instance '{name}' — did you mean '{s}'?"),
+            None => format!("unknown instance '{name}' (try `stash catalog`)"),
+        });
     };
     let mut net = FlowNet::new();
     let topo = Topology::build(&ClusterSpec::single(inst), &mut net);
@@ -252,76 +373,23 @@ fn cmd_probe(args: &[String]) -> ExitCode {
     for (g, r) in rates.iter().enumerate() {
         println!("  gpu{g}: {:.2} GB/s", r / 1e9);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_trace(args: &[String]) -> ExitCode {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let (Some(first), Some(second)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: stash trace <instance> <model> [--out PATH] [-b batch]");
-        return ExitCode::FAILURE;
-    };
-    // Accept either argument order: `trace p3.2xlarge resnet50` (the
-    // paper's instance-first habit) or `trace resnet50 p3.8xlarge*2`.
-    let (model_name, cluster_spec) = if zoo::by_name(first).is_some() {
-        (first, second)
-    } else {
-        (second, first)
-    };
-    let model = match lookup_model(model_name) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cluster = match parse_cluster(cluster_spec) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out" || a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            format!(
-                "results/trace_{}_{}.json",
-                model_name.to_lowercase(),
-                cluster_spec.replace('*', "x")
-            )
-        });
-
-    let batch = parse_batch(args);
-    // Real warm-cache data so the trace shows the full pipeline: fetch,
-    // prep, H2D upload, compute and all-reduce on their own tracks.
-    let dataset = if model.name.starts_with("BERT") {
-        DatasetSpec::squad2()
-    } else {
-        DatasetSpec::imagenet1k()
-    };
-    let mut cfg = TrainConfig::synthetic(cluster, model, batch, batch * 12);
-    cfg.epoch_mode = EpochMode::Sampled { iterations: 12 };
+fn cmd_trace(args: &[String]) -> CmdResult {
+    let s = Subject::parse(
+        args,
+        "usage: stash trace <instance> <model> [--out PATH] [-b batch]",
+    )?;
+    let out_path = flag_val(args, &["--out", "-o"])?.map_or_else(
+        || format!("results/trace_{}.json", slug(s.model_name, s.cluster_spec)),
+        str::to_string,
+    );
+    let mut cfg = traced_window(&s, parse_batch(args)?);
+    // The per-iteration timeline below reads `EpochReport::trace`.
     cfg.record_trace = true;
-    cfg.data = DataMode::Real {
-        dataset,
-        cache: CacheState::Warm,
-    };
-
-    let sink = Rc::new(RefCell::new(JsonSink::new()));
-    let tracer = shared(Tracer::new(sink.clone()));
-    let r = match run_epoch_traced(&cfg, &tracer) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("trace failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (run, events) = run_traced(&cfg, None).map_err(|e| format!("trace failed: {e}"))?;
+    let r = &run.report;
 
     println!(
         "{} | {} | batch {} x {} GPUs — per-iteration timeline",
@@ -346,7 +414,6 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         r.throughput
     );
 
-    let events = sink.borrow().events().to_vec();
     let rollup = StallRollup::from_events(&events);
     println!(
         "\nper-category traced span time (raw, {} simulated iterations):",
@@ -357,40 +424,16 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     }
     print!("\n{}", stash::trace::metrics::render_rollup(&rollup, None));
 
-    let json = stash::trace::chrome::export(&events);
-    let text = match serde_json::to_string_pretty(&json) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot serialize trace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = std::fs::write(&out_path, &text) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    match stash::trace::chrome::validate(&text) {
-        Ok(stats) => {
-            println!(
-                "\ntrace validated: {} spans / {} instants / {} counters on {} tracks (max depth {})",
-                stats.spans, stats.instants, stats.counters, stats.tracks, stats.max_depth
-            );
-            println!("chrome trace written to {out_path} (open in chrome://tracing or Perfetto)");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("exported trace failed validation: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let text = pretty(&stash::trace::chrome::export(&events))?;
+    write_creating_dirs(&out_path, &text)?;
+    let stats = stash::trace::chrome::validate(&text)
+        .map_err(|e| format!("exported trace failed validation: {e}"))?;
+    println!(
+        "\ntrace validated: {} spans / {} instants / {} counters on {} tracks (max depth {})",
+        stats.spans, stats.instants, stats.counters, stats.tracks, stats.max_depth
+    );
+    println!("chrome trace written to {out_path} (open in chrome://tracing or Perfetto)");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Resolves `--out BASE` (or the default) into `(html, json)` paths:
@@ -406,173 +449,42 @@ fn report_paths(base: &str) -> (String, String) {
     }
 }
 
-fn write_creating_dirs(path: &str, text: &str) -> Result<(), String> {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
-    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
-}
+fn cmd_report(args: &[String]) -> CmdResult {
+    use stash::trace::report::{BlameRow, WhatIfRow};
 
-/// Runs one traced window of `cfg` and returns the epoch report plus the
-/// rank-0 critical-path decomposition of the raw trace.
-fn traced_critical_path(cfg: &TrainConfig) -> Result<(EpochReport, CriticalPath), String> {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    let sink = Rc::new(RefCell::new(JsonSink::new()));
-    let tracer = shared(Tracer::new(sink.clone()));
-    let r = run_epoch_traced(cfg, &tracer).map_err(|e| e.to_string())?;
-    let events = sink.borrow().events().to_vec();
-    let path = CriticalPath::from_events(&events, 0, Track::gpu(0, 0));
-    Ok((r, path))
-}
-
-/// Runs one iteration-series pass of `cfg` (telemetry switched on for
-/// the duration) and returns the run's `stash-series-v1` document, or
-/// `None` when the run produced no samples. The series engine is a pure
-/// observer, so this never disagrees with a plain run of the same
-/// config — the zoo-wide differential test proves bit-identity.
-fn run_series(
-    cfg: &TrainConfig,
-    plan: Option<&FaultPlan>,
-) -> Result<Option<serde_json::Value>, String> {
-    let was_enabled = stash::telemetry::enabled();
-    stash::telemetry::enable();
-    let out = run_epoch_series(cfg, &EngineOptions { fast_forward: true }, plan);
-    if !was_enabled {
-        stash::telemetry::disable();
-    }
-    let sr = out.map_err(|e| e.to_string())?;
-    if sr.series.is_empty() {
-        return Ok(None);
-    }
-    let r = &sr.run.report;
-    let meta = stash::telemetry::series::SeriesMeta {
-        cluster: r.cluster.clone(),
-        model: r.model.clone(),
-        world: r.world as u64,
-        per_gpu_batch: r.per_gpu_batch,
-        iterations: r.iterations,
-        simulated_iterations: r.simulated_iterations,
-    };
-    Ok(Some(sr.series.to_json(&meta)))
-}
-
-fn cmd_report(args: &[String]) -> ExitCode {
-    use stash::trace::report::BlameRow;
-
-    let (Some(first), Some(second)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: stash report <instance> <model> [--out PATH] [-b batch]");
-        return ExitCode::FAILURE;
-    };
-    // Either argument order, like `stash trace`.
-    let (model_name, cluster_spec) = if zoo::by_name(first).is_some() {
-        (first, second)
-    } else {
-        (second, first)
-    };
-    let model = match lookup_model(model_name) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cluster = match parse_cluster(cluster_spec) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out_base = args
-        .iter()
-        .position(|a| a == "--out" || a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            format!(
-                "results/report_{}_{}",
-                model_name.to_lowercase(),
-                cluster_spec.replace('*', "x")
-            )
-        });
+    let s = Subject::parse(
+        args,
+        "usage: stash report <instance> <model> [--out PATH] [-b batch]",
+    )?;
+    let out_base = flag_val(args, &["--out", "-o"])?.map_or_else(
+        || format!("results/report_{}", slug(s.model_name, s.cluster_spec)),
+        str::to_string,
+    );
     let (html_path, json_path) = report_paths(&out_base);
+    let cfg = traced_window(&s, parse_batch(args)?);
+    let (run, events) = run_traced(&cfg, None).map_err(|e| format!("report failed: {e}"))?;
+    let (r, path) = (run.report, rank0_path(&events));
 
-    let batch = parse_batch(args);
-    let dataset = if model.name.starts_with("BERT") {
-        DatasetSpec::squad2()
-    } else {
-        DatasetSpec::imagenet1k()
-    };
-    let mut cfg = TrainConfig::synthetic(cluster.clone(), model, batch, batch * 12);
-    cfg.epoch_mode = EpochMode::Sampled { iterations: 12 };
-    cfg.record_trace = true;
-    cfg.data = DataMode::Real {
-        dataset,
-        cache: CacheState::Warm,
-    };
-
-    let (r, path) = match traced_critical_path(&cfg) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("report failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let factor = r.iterations as f64 / r.simulated_iterations as f64;
-
-    // The critical path must balance the engine's own accounting exactly:
-    // the raw per-category sums, extrapolated with the same mul_f64 the
-    // report used, land on the EpochReport fields to the nanosecond.
-    let raw = |cats: &[PathCategory]| {
-        SimDuration::from_nanos(cats.iter().map(|&c| path.total_ns(c)).sum::<u64>())
-    };
-    let checks = [
-        (
-            "compute",
-            raw(&[PathCategory::Compute, PathCategory::Overlap]),
-            r.compute_time,
-        ),
-        (
-            "data-wait",
-            raw(&[PathCategory::Prep, PathCategory::Fetch]),
-            r.data_wait,
-        ),
-        (
-            "comm-wait",
-            raw(&[PathCategory::Interconnect, PathCategory::Network]),
-            r.comm_wait,
-        ),
-    ];
+    // The critical path must balance the engine's own accounting to the
+    // nanosecond, so each row's trace and engine columns are one value.
     println!(
         "{} | {} | batch {} x {} GPUs — critical-path reconciliation",
         r.cluster, r.model, r.per_gpu_batch, r.world
     );
-    for (what, traced, engine) in checks {
-        let scaled = traced.mul_f64(factor);
-        println!("  {what:<9} trace {scaled:>12}  engine {engine:>12}");
-        if scaled != engine {
-            eprintln!("critical path does not reconcile with the engine's {what} accounting");
-            return ExitCode::FAILURE;
-        }
+    reconcile(&r, &path).map_err(|e| format!("critical path vs engine: {e}"))?;
+    for stall in Stall::ALL {
+        let ns = stall.of(&r);
+        println!("  {:<9} trace {ns:>12}  engine {ns:>12}", stall.label());
     }
 
+    let factor = r.iterations as f64 / r.simulated_iterations as f64;
     let mut report = InsightReport::from_path(&r.cluster, &r.model, r.world, factor, &path);
     report.epoch_ns = r.epoch_time.as_nanos();
     report.engine_compute_ns = r.compute_time.as_nanos();
     report.engine_data_wait_ns = r.data_wait.as_nanos();
     report.engine_comm_wait_ns = r.comm_wait.as_nanos();
-    report.series = match run_series(&cfg, None) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("report failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let series = run_series(&cfg, None).map_err(|e| format!("report failed: {e}"))?;
+    report.series = series_doc(&series);
     report.blame = path
         .top_blamed(10)
         .into_iter()
@@ -599,9 +511,9 @@ fn cmd_report(args: &[String]) -> ExitCode {
             }
             Some(hw) => {
                 let mut cfg2 = cfg.clone();
-                cfg2.cluster = cluster.scaled(hw, 2.0);
-                match traced_critical_path(&cfg2) {
-                    Ok((_, p2)) => Some(p2.wall_ns),
+                cfg2.cluster = s.cluster.scaled(hw, 2.0);
+                match run_traced(&cfg2, None) {
+                    Ok((_, events)) => Some(rank0_path(&events).wall_ns),
                     Err(e) => {
                         eprintln!("  {:<15} re-simulation failed: {e}", res.label());
                         None
@@ -624,7 +536,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
                 err * 100.0
             );
         }
-        report.whatif.push(stash::trace::report::WhatIfRow {
+        report.whatif.push(WhatIfRow {
             resource: res.label().to_string(),
             factor: 2.0,
             projected_wall_ns: projected,
@@ -632,137 +544,112 @@ fn cmd_report(args: &[String]) -> ExitCode {
         });
     }
 
-    let json_text = match serde_json::to_string_pretty(&report.to_json()) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot serialize report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for (path, text) in [(&json_path, &json_text), (&html_path, &report.to_html())] {
-        if let Err(e) = write_creating_dirs(path, text) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    write_creating_dirs(&json_path, &pretty(&report.to_json())?)?;
+    write_creating_dirs(&html_path, &report.to_html())?;
     println!(
         "\nreport written to {html_path} (open in any browser) and {json_path} (for `stash diff`)"
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_diff(args: &[String]) -> ExitCode {
-    use stash::trace::report::{diff, InsightReport, DEFAULT_DIFF_THRESHOLD};
+/// Prints one gate's notes and regressions; fails when any regressed.
+fn gate_outcome(
+    what: &str,
+    notes: &[String],
+    regressions: &[String],
+    base_path: &str,
+    cur_path: &str,
+) -> ExitCode {
+    for note in notes {
+        println!("  {note}");
+    }
+    if regressions.is_empty() {
+        println!("no {what} regressions: {base_path} vs {cur_path}");
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("{} {what} regression(s):", regressions.len());
+    for reg in regressions {
+        eprintln!("  {reg}");
+    }
+    ExitCode::FAILURE
+}
+
+fn cmd_diff(args: &[String]) -> CmdResult {
+    use stash::telemetry::{diff as telemetry_diff, series};
+    use stash::trace::report::DEFAULT_DIFF_THRESHOLD;
 
     let (Some(base_path), Some(cur_path)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: stash diff <baseline.json> <current.json> [--threshold FRAC]");
-        return ExitCode::FAILURE;
+        return Err(
+            "usage: stash diff <baseline.json> <current.json> [--threshold FRAC]".to_string(),
+        );
     };
-    let threshold = args
-        .iter()
-        .position(|a| a == "--threshold" || a == "-t")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_DIFF_THRESHOLD);
+    let threshold = flag_parse(
+        args,
+        &["--threshold", "-t"],
+        "a non-negative number",
+        |t: &f64| t.is_finite() && *t >= 0.0,
+    )?
+    .unwrap_or(DEFAULT_DIFF_THRESHOLD);
     let load_doc = |path: &str| -> Result<serde_json::Value, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         serde_json::from_str(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))
     };
-    let (base_doc, cur_doc) = match (load_doc(base_path), load_doc(cur_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (base_doc, cur_doc) = (load_doc(base_path)?, load_doc(cur_path)?);
 
     // Series documents get the iteration-dynamics gates (CoV, transient
     // spikes); telemetry documents the simulator-health gates; stall
     // reports the per-category workload gates. Mixing kinds is an error.
-    let series = (
-        stash::telemetry::series::is_series_doc(&base_doc),
-        stash::telemetry::series::is_series_doc(&cur_doc),
-    );
-    match series {
+    match (
+        series::is_series_doc(&base_doc),
+        series::is_series_doc(&cur_doc),
+    ) {
         (true, true) => {
-            let d = match stash::telemetry::series::diff_docs(&base_doc, &cur_doc) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            for note in &d.notes {
-                println!("  {note}");
-            }
-            if d.is_clean() {
-                println!("no iteration-dynamics regressions: {base_path} vs {cur_path}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("{} iteration-dynamics regression(s):", d.regressions.len());
-            for reg in &d.regressions {
-                eprintln!("  {reg}");
-            }
-            return ExitCode::FAILURE;
+            let d = series::diff_docs(&base_doc, &cur_doc)?;
+            let what = "iteration-dynamics";
+            return Ok(gate_outcome(
+                what,
+                &d.notes,
+                &d.regressions,
+                base_path,
+                cur_path,
+            ));
         }
         (true, false) | (false, true) => {
-            eprintln!(
+            return Err(format!(
                 "cannot diff a series document against a non-series document \
                  ({base_path} vs {cur_path})"
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         (false, false) => {}
     }
-
-    // Telemetry documents get the simulator-health gates; stall reports
-    // get the per-category workload gates. Mixing the two is an error.
-    let telemetry = (
-        stash::telemetry::diff::is_telemetry_doc(&base_doc),
-        stash::telemetry::diff::is_telemetry_doc(&cur_doc),
-    );
-    match telemetry {
+    match (
+        telemetry_diff::is_telemetry_doc(&base_doc),
+        telemetry_diff::is_telemetry_doc(&cur_doc),
+    ) {
         (true, true) => {
-            let d = match stash::telemetry::diff::diff_docs(&base_doc, &cur_doc) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            for note in &d.notes {
-                println!("  {note}");
-            }
-            if d.is_clean() {
-                println!("no simulator-health regressions: {base_path} vs {cur_path}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("{} simulator-health regression(s):", d.regressions.len());
-            for reg in &d.regressions {
-                eprintln!("  {reg}");
-            }
-            return ExitCode::FAILURE;
+            let d = telemetry_diff::diff_docs(&base_doc, &cur_doc)?;
+            let what = "simulator-health";
+            return Ok(gate_outcome(
+                what,
+                &d.notes,
+                &d.regressions,
+                base_path,
+                cur_path,
+            ));
         }
         (true, false) | (false, true) => {
-            eprintln!(
+            return Err(format!(
                 "cannot diff a telemetry document against a stall report \
                  ({base_path} vs {cur_path})"
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         (false, false) => {}
     }
 
-    let load = |path: &str, doc: &serde_json::Value| -> Result<InsightReport, String> {
+    let load = |path: &str, doc: &serde_json::Value| {
         InsightReport::from_json(doc).map_err(|e| format!("{path}: {e}"))
     };
-    let (baseline, current) = match (load(base_path, &base_doc), load(cur_path, &cur_doc)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (baseline, current) = (load(base_path, &base_doc)?, load(cur_path, &cur_doc)?);
     let regs = diff(&baseline, &current, threshold);
     if regs.is_empty() {
         println!(
@@ -773,7 +660,7 @@ fn cmd_diff(args: &[String]) -> ExitCode {
             current.model,
             threshold * 100.0
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     eprintln!(
         "{} stall regression(s) beyond {:.0}%:",
@@ -786,58 +673,28 @@ fn cmd_diff(args: &[String]) -> ExitCode {
             reg.category, reg.baseline_ns, reg.current_ns, reg.ratio
         );
     }
-    ExitCode::FAILURE
+    Ok(ExitCode::FAILURE)
 }
 
-fn cmd_perf(args: &[String]) -> ExitCode {
+fn cmd_perf(args: &[String]) -> CmdResult {
     use stash::telemetry::snapshot::Snapshot;
 
+    let usage = "usage: stash perf <cluster|sweep> <model> [-b batch] [--out BASE] [--format csv]";
     let (Some(first), Some(second)) = (args.first(), args.get(1)) else {
-        eprintln!(
-            "usage: stash perf <cluster|sweep> <model> [-b batch] [--out BASE] [--format csv]"
-        );
-        return ExitCode::FAILURE;
+        return Err(usage.to_string());
     };
-    let format_csv = match args
-        .iter()
-        .position(|a| a == "--format" || a == "-f")
-        .map(|i| args.get(i + 1))
-    {
-        None => false,
-        Some(Some(v)) if v == "csv" => true,
-        Some(Some(v)) if v == "table" => false,
-        Some(v) => {
-            eprintln!(
-                "--format expects 'csv' or 'table', got '{}'",
-                v.map(String::as_str).unwrap_or("")
-            );
-            return ExitCode::FAILURE;
-        }
+    let format_csv = match flag_val(args, &["--format", "-f"])? {
+        None | Some("table") => false,
+        Some("csv") => true,
+        Some(v) => return Err(format!("--format wants 'csv' or 'table', got '{v}'")),
     };
+    let batch = parse_batch(args)?;
     // `perf sweep <model>` aggregates the advisor's default candidates;
     // anything else profiles one cluster. Either argument order works.
-    let sweep = first == "sweep" || second == "sweep";
-    let model_name = if sweep {
-        if first == "sweep" {
-            second
-        } else {
-            first
-        }
-    } else if zoo::by_name(first).is_some() {
-        first
-    } else {
-        second
+    let sweep_model = match (first.as_str(), second.as_str()) {
+        ("sweep", m) | (m, "sweep") => Some(m),
+        _ => None,
     };
-    let model = match lookup_model(model_name) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let batch = parse_batch(args);
-    let model_slug = model_name.to_lowercase();
-
     // Everything below runs with self-telemetry on, from a clean
     // registry, against one shared measurement cache (so sweep mode
     // exercises the hit path on repeated reference-instance steps).
@@ -845,62 +702,55 @@ fn cmd_perf(args: &[String]) -> ExitCode {
     stash::telemetry::metrics::reset_all();
     let cache = MeasurementCache::new();
 
-    let (scope, subject, default_base, snap) = if sweep {
-        let mut fleet = Snapshot::zero();
-        let mut prev = Snapshot::take();
-        println!(
-            "{:<16} {:>12} {:>12} {:>16}",
-            "cluster", "events", "recomputes", "solver p99 ns"
-        );
-        for cluster in default_candidates() {
-            let name = cluster.display_name();
-            let stash_p = stash_for(model.clone(), batch);
-            if let Err(e) = stash_p.profile_cached(&cluster, &cache) {
-                println!("{name:<16} skipped: {e}");
-                continue;
-            }
-            let cur = Snapshot::take();
-            let delta = cur.since(&prev);
-            prev = cur;
+    let (scope, subject, default_base, snap) = match sweep_model {
+        None => {
+            let s = Subject::parse(args, usage)?;
+            stash_for(s.model.clone(), batch)
+                .profile_cached(&s.cluster, &cache)
+                .map_err(|e| format!("profiling failed: {e}"))?;
+            (
+                "instance",
+                format!("{} {}", s.cluster_spec, s.model_name.to_lowercase()),
+                format!("results/telemetry_{}", slug(s.model_name, s.cluster_spec)),
+                Snapshot::take(),
+            )
+        }
+        Some(model_name) => {
+            let model = lookup_model(model_name)?;
+            let model_slug = model_name.to_lowercase();
+            let mut fleet = Snapshot::zero();
+            let mut prev = Snapshot::take();
             println!(
                 "{:<16} {:>12} {:>12} {:>16}",
-                name,
-                delta.counter("stash_sim_queue_events_popped_total"),
-                delta.counter("stash_sim_solver_full_recomputes_total"),
-                delta
-                    .histogram("stash_sim_solver_recompute_latency_ns")
-                    .map_or(0, |h| h.quantile(0.99))
+                "cluster", "events", "recomputes", "solver p99 ns"
             );
-            fleet.merge(&delta);
-        }
-        (
-            "sweep",
-            format!("sweep {model_slug}"),
-            format!("results/telemetry_sweep_{model_slug}"),
-            fleet,
-        )
-    } else {
-        let cluster_spec = if model_name == first { second } else { first };
-        let cluster = match parse_cluster(cluster_spec) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
+            for cluster in default_candidates() {
+                let name = cluster.display_name();
+                if let Err(e) = stash_for(model.clone(), batch).profile_cached(&cluster, &cache) {
+                    println!("{name:<16} skipped: {e}");
+                    continue;
+                }
+                let cur = Snapshot::take();
+                let delta = cur.since(&prev);
+                prev = cur;
+                println!(
+                    "{:<16} {:>12} {:>12} {:>16}",
+                    name,
+                    delta.counter("stash_sim_queue_events_popped_total"),
+                    delta.counter("stash_sim_solver_full_recomputes_total"),
+                    delta
+                        .histogram("stash_sim_solver_recompute_latency_ns")
+                        .map_or(0, |h| h.quantile(0.99))
+                );
+                fleet.merge(&delta);
             }
-        };
-        if let Err(e) = stash_for(model.clone(), batch).profile_cached(&cluster, &cache) {
-            eprintln!("profiling failed: {e}");
-            return ExitCode::FAILURE;
+            (
+                "sweep",
+                format!("sweep {model_slug}"),
+                format!("results/telemetry_sweep_{model_slug}"),
+                fleet,
+            )
         }
-        (
-            "instance",
-            format!("{cluster_spec} {model_slug}"),
-            format!(
-                "results/telemetry_{model_slug}_{}",
-                cluster_spec.replace('*', "x")
-            ),
-            Snapshot::take(),
-        )
     };
 
     if format_csv {
@@ -923,291 +773,81 @@ fn cmd_perf(args: &[String]) -> ExitCode {
         }
     }
 
-    let out_base = args
-        .iter()
-        .position(|a| a == "--out" || a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or(default_base);
-    let json_path = format!("{out_base}.json");
-    let prom_path = format!("{out_base}.prom");
-    let json_text = match serde_json::to_string_pretty(&snap.to_json(scope, &subject)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot serialize telemetry: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let out_base = flag_val(args, &["--out", "-o"])?.map_or(default_base, str::to_string);
     let prom_text = snap.render_prom();
-    if let Err(e) = stash::telemetry::prom::validate(&prom_text) {
-        eprintln!("telemetry exposition failed validation: {e}");
-        return ExitCode::FAILURE;
-    }
+    stash::telemetry::prom::validate(&prom_text)
+        .map_err(|e| format!("telemetry exposition failed validation: {e}"))?;
     let mut outputs = vec![
-        (json_path.clone(), json_text),
-        (prom_path.clone(), prom_text),
+        (
+            format!("{out_base}.json"),
+            pretty(&snap.to_json(scope, &subject))?,
+        ),
+        (format!("{out_base}.prom"), prom_text),
     ];
     if format_csv {
         outputs.push((format!("{out_base}.csv"), snap.to_csv()));
     }
     for (path, text) in &outputs {
-        if let Err(e) = write_creating_dirs(path, text) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        write_creating_dirs(path, text)?;
     }
     let names: Vec<&str> = outputs.iter().map(|(p, _)| p.as_str()).collect();
     println!(
         "\nprom validated — telemetry written to {}",
         names.join(", ")
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_chaos(args: &[String]) -> ExitCode {
-    use std::cell::RefCell;
-    use std::rc::Rc;
+/// Writes the flight recording, if one is armed, to `path`.
+fn dump_flight(path: &str) {
+    if let Some(dump) = stash::telemetry::flight::flight_dump() {
+        match write_creating_dirs(path, &dump) {
+            Ok(()) => eprintln!("flight recording written to {path}"),
+            Err(e) => eprintln!("{e}"),
+        }
+    }
+}
 
-    let (Some(first), Some(second)) = (args.first(), args.get(1)) else {
-        eprintln!(
-            "usage: stash chaos <instance> <model> [--seed N] [--plan FILE] [--out PATH] [--series PATH] [-b batch]"
-        );
-        return ExitCode::FAILURE;
-    };
-    // Either argument order, like `stash trace`.
-    let (model_name, cluster_spec) = if zoo::by_name(first).is_some() {
-        (first, second)
-    } else {
-        (second, first)
-    };
-    let model = match lookup_model(model_name) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cluster = match parse_cluster(cluster_spec) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let seed: u64 = match args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(v) => match v.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("--seed expects an unsigned integer, got '{v}'");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => 42,
-    };
-    let plan_file = args
-        .iter()
-        .position(|a| a == "--plan")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out" || a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
+fn cmd_chaos(args: &[String]) -> CmdResult {
+    let s = Subject::parse(
+        args,
+        "usage: stash chaos <instance> <model> [--seed N] [--plan FILE] [--out PATH] [--series PATH] [-b batch]",
+    )?;
+    let seed = flag_parse(args, &["--seed"], "an unsigned integer", |_: &u64| true)?.unwrap_or(42);
+    let plan_file = flag_val(args, &["--plan"])?;
+    let origin = plan_file.map_or_else(|| format!("seed{seed}"), |_| "plan".to_string());
+    let out_path = flag_val(args, &["--out", "-o"])?.map_or_else(
+        || {
             format!(
-                "results/chaos_{}_{}_{}.json",
-                model_name.to_lowercase(),
-                cluster_spec.replace('*', "x"),
-                if plan_file.is_some() {
-                    "plan".to_string()
-                } else {
-                    format!("seed{seed}")
-                }
+                "results/chaos_{}_{origin}.json",
+                slug(s.model_name, s.cluster_spec)
             )
-        });
+        },
+        str::to_string,
+    );
+    let series_path = flag_val(args, &["--series"])?;
+    let flight_path = flag_val(args, &["--flight"])?;
+    let batch = parse_batch(args)?;
 
     // Optional flight recorder: keep the tail of the engine's event
     // stream and dump it on failure — typed errors and panics alike —
     // so a broken chaos run leaves behind what the simulator was doing.
-    let flight_path = args
-        .iter()
-        .position(|a| a == "--flight")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let series_path = args
-        .iter()
-        .position(|a| a == "--series")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    if let Some(path) = flight_path.clone() {
+    if let Some(path) = flight_path {
         stash::telemetry::flight::flight_enable(stash::telemetry::flight::DEFAULT_CAPACITY);
+        let path = path.to_string();
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if let Some(dump) = stash::telemetry::flight::flight_dump() {
-                if write_creating_dirs(&path, &dump).is_ok() {
-                    eprintln!("flight recording written to {path}");
-                }
-            }
+            dump_flight(&path);
             prev(info);
         }));
     }
-    let flight_fail = |msg: String| -> ExitCode {
-        if let Some(path) = &flight_path {
-            if let Some(dump) = stash::telemetry::flight::flight_dump() {
-                match write_creating_dirs(path, &dump) {
-                    Ok(()) => eprintln!("flight recording written to {path}"),
-                    Err(e) => eprintln!("{e}"),
-                }
+    let (base, plan, run) =
+        chaos_run(&s, batch, seed, plan_file, series_path).inspect_err(|_| {
+            if let Some(path) = flight_path {
+                dump_flight(path);
             }
-        }
-        eprintln!("{msg}");
-        ExitCode::FAILURE
-    };
-
-    // A full (factor-1) synthetic window: every accumulator is exact, so
-    // the trace must corroborate the engine to the nanosecond.
-    let batch = parse_batch(args);
-    let iters: u64 = 16;
-    let mut cfg = TrainConfig::synthetic(cluster.clone(), model, batch, batch * iters);
-    cfg.epoch_mode = EpochMode::Full;
-    cfg.record_trace = true;
-
-    // Fault-free baseline: the yardstick, and the plan horizon.
-    let base = match run_epoch(&cfg) {
-        Ok(r) => r,
-        Err(e) => return flight_fail(format!("chaos baseline failed: {e}")),
-    };
-
-    let (world, nodes) = (cluster.world_size(), cluster.node_count());
-    let plan = match &plan_file {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => return flight_fail(format!("cannot read {path}: {e}")),
-            };
-            match FaultPlan::from_json(&text) {
-                Ok(p) => p,
-                Err(e) => return flight_fail(format!("{path}: {e}")),
-            }
-        }
-        None => FaultPlan::seeded(seed, world, nodes, base.epoch_time),
-    };
-    if let Err(e) = plan.validate(world, nodes) {
-        return flight_fail(format!("fault plan does not fit {cluster_spec}: {e}"));
-    }
-
-    let sink = Rc::new(RefCell::new(JsonSink::new()));
-    let tracer = shared(Tracer::new(sink.clone()));
-    let run = match run_epoch_faulted_traced(&cfg, &plan, &tracer) {
-        Ok(r) => r,
-        Err(e) => return flight_fail(format!("chaos run failed: {e}")),
-    };
+        })?;
     let r = &run.report;
-
-    // Self-check: the rank-0 trace lane must reconcile with the engine's
-    // accounting exactly, recovery and straggler categories included.
-    let events = sink.borrow().events().to_vec();
-    let path = CriticalPath::from_events(&events, 0, Track::gpu(0, 0));
-    let raw = |cats: &[PathCategory]| {
-        SimDuration::from_nanos(cats.iter().map(|&c| path.total_ns(c)).sum::<u64>())
-    };
-    let checks = [
-        (
-            "compute",
-            raw(&[PathCategory::Compute, PathCategory::Overlap]),
-            r.compute_time,
-        ),
-        (
-            "data-wait",
-            raw(&[PathCategory::Prep, PathCategory::Fetch]),
-            r.data_wait,
-        ),
-        (
-            "comm-wait",
-            raw(&[PathCategory::Interconnect, PathCategory::Network]),
-            r.comm_wait,
-        ),
-        ("recovery", raw(&[PathCategory::Recovery]), r.recovery_time),
-        (
-            "straggler",
-            raw(&[PathCategory::Straggler]),
-            r.straggler_time,
-        ),
-    ];
-    for (what, traced, engine) in checks {
-        if traced != engine {
-            return flight_fail(format!(
-                "chaos self-check failed: traced {what} {traced} != engine {engine}"
-            ));
-        }
-    }
-
-    // Optional iteration series: an un-traced series run of the same
-    // faulted config must agree with the traced run bit-for-bit (both
-    // instrumentation layers are pure observers), and its downsampled
-    // totals must reconcile with the report at integer-ns exactness —
-    // the sixth leg of the chaos self-check.
-    if let Some(spath) = &series_path {
-        let was_enabled = stash::telemetry::enabled();
-        stash::telemetry::enable();
-        let sr = run_epoch_series(&cfg, &EngineOptions { fast_forward: true }, Some(&plan));
-        if !was_enabled {
-            stash::telemetry::disable();
-        }
-        let sr = match sr {
-            Ok(sr) => sr,
-            Err(e) => return flight_fail(format!("chaos series run failed: {e}")),
-        };
-        if sr.run != run {
-            return flight_fail(
-                "chaos self-check failed: series engine disagrees with the traced run".to_string(),
-            );
-        }
-        let t = sr.series.totals();
-        let factor = r.iterations as f64 / r.simulated_iterations as f64;
-        let series_checks = [
-            ("compute", t.compute_ns, r.compute_time),
-            ("data-wait", t.data_wait_ns, r.data_wait),
-            ("comm-wait", t.comm_wait_ns, r.comm_wait),
-            ("recovery", t.recovery_ns, r.recovery_time),
-            ("straggler", t.straggler_ns, r.straggler_time),
-        ];
-        for (what, ns, engine) in series_checks {
-            let Ok(ns) = u64::try_from(ns) else {
-                return flight_fail(format!("chaos series {what} total is negative ({ns})"));
-            };
-            if SimDuration::from_nanos(ns).mul_f64(factor) != engine {
-                return flight_fail(format!(
-                    "chaos self-check failed: series {what} does not reconcile with the engine"
-                ));
-            }
-        }
-        let meta = stash::telemetry::series::SeriesMeta {
-            cluster: r.cluster.clone(),
-            model: r.model.clone(),
-            world: r.world as u64,
-            per_gpu_batch: r.per_gpu_batch,
-            iterations: r.iterations,
-            simulated_iterations: r.simulated_iterations,
-        };
-        let text = match serde_json::to_string_pretty(&sr.series.to_json(&meta)) {
-            Ok(t) => t,
-            Err(e) => return flight_fail(format!("cannot serialize series: {e}")),
-        };
-        if let Err(e) = write_creating_dirs(spath, &text) {
-            return flight_fail(e);
-        }
-        println!(
-            "  iteration series ({} buckets, {} fault windows) written to {spath}",
-            sr.series.samples.len(),
-            sr.series.annotations.len()
-        );
-    }
 
     let slowdown = r.epoch_time.as_secs_f64() / base.epoch_time.as_secs_f64().max(1e-12);
     println!(
@@ -1216,9 +856,7 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
         r.model,
         r.per_gpu_batch,
         base.world,
-        plan_file
-            .as_deref()
-            .map_or_else(|| format!("seed {seed}"), str::to_string)
+        plan_file.map_or_else(|| format!("seed {seed}"), str::to_string)
     );
     println!(
         "  baseline epoch {:>12}   faulted epoch {:>12}   slowdown {slowdown:.2}x",
@@ -1275,46 +913,93 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
         "goodput_fraction": r.throughput / base.throughput.max(1e-12),
         "faults": &run.faults,
     });
-    let text = match serde_json::to_string_pretty(&doc) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot serialize resilience report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = write_creating_dirs(&out_path, &text) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    write_creating_dirs(&out_path, &pretty(&doc)?)?;
     println!("\nresilience report written to {out_path}");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_dash(args: &[String]) -> ExitCode {
+/// The simulation half of `stash chaos`: the fault-free baseline, the
+/// plan, and the traced faulted run, self-checked against its trace and
+/// (with `series_path`) against an iteration-series run it writes out.
+fn chaos_run(
+    s: &Subject,
+    batch: u64,
+    seed: u64,
+    plan_file: Option<&str>,
+    series_path: Option<&str>,
+) -> Result<(EpochReport, FaultPlan, Run), String> {
+    // A full (factor-1) synthetic window: every accumulator is exact, so
+    // the trace must corroborate the engine to the nanosecond.
+    let iters: u64 = 16;
+    let mut cfg = TrainConfig::synthetic(s.cluster.clone(), s.model.clone(), batch, batch * iters);
+    cfg.epoch_mode = EpochMode::Full;
+
+    // Fault-free baseline: the yardstick, and the plan horizon.
+    let base = run_epoch(&cfg).map_err(|e| format!("chaos baseline failed: {e}"))?;
+    let (world, nodes) = (s.cluster.world_size(), s.cluster.node_count());
+    let plan = match plan_file {
+        Some(path) => {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            FaultPlan::from_json(&text).map_err(|e| format!("{path}: {e}"))?
+        }
+        None => FaultPlan::seeded(seed, world, nodes, base.epoch_time),
+    };
+    plan.validate(world, nodes)
+        .map_err(|e| format!("fault plan does not fit {}: {e}", s.cluster_spec))?;
+
+    // Self-check: the rank-0 trace lane must reconcile with the engine's
+    // accounting exactly, recovery and straggler categories included.
+    let (run, events) =
+        run_traced(&cfg, Some(&plan)).map_err(|e| format!("chaos run failed: {e}"))?;
+    reconcile(&run.report, &rank0_path(&events))
+        .map_err(|e| format!("chaos self-check failed: trace {e}"))?;
+
+    // Optional iteration series: an un-traced series run of the same
+    // faulted config must agree with the traced run bit-for-bit (both
+    // instrumentation layers are pure observers), and its downsampled
+    // totals must reconcile with the report at integer-ns exactness —
+    // the sixth leg of the chaos self-check.
+    if let Some(spath) = series_path {
+        let sr =
+            run_series(&cfg, Some(&plan)).map_err(|e| format!("chaos series run failed: {e}"))?;
+        if (&sr.report, &sr.faults) != (&run.report, &run.faults) {
+            return Err(
+                "chaos self-check failed: series engine disagrees with the traced run".to_string(),
+            );
+        }
+        reconcile(&sr.report, &sr.series.totals())
+            .map_err(|e| format!("chaos self-check failed: series {e}"))?;
+        let doc = sr.series.to_json(&sr.report.series_meta());
+        write_creating_dirs(spath, &pretty(&doc)?)?;
+        println!(
+            "  iteration series ({} buckets, {} fault windows) written to {spath}",
+            sr.series.samples.len(),
+            sr.series.annotations.len()
+        );
+    }
+    Ok((base, plan, run))
+}
+
+fn cmd_dash(args: &[String]) -> CmdResult {
     use stash::trace::dash::{DashCell, Dashboard};
 
     let Some(dir) = args.first() else {
-        eprintln!("usage: stash dash <results-dir> [--out PATH] [-b batch]");
-        return ExitCode::FAILURE;
+        return Err("usage: stash dash <results-dir> [--out PATH] [-b batch]".to_string());
     };
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out" || a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| format!("{dir}/dashboard.html"));
+    let out_path = flag_val(args, &["--out", "-o"])?
+        .map_or_else(|| format!("{dir}/dashboard.html"), str::to_string);
 
     // A result store is not a series directory: refuse loudly instead of
     // simulating a default sweep into it (which would bury series JSON
     // between the records) or silently skipping its binary files.
     let dir_path = std::path::Path::new(dir);
     if dir_path.join("records").is_dir() || dir_path.join("journal.log").is_file() {
-        eprintln!(
+        return Err(format!(
             "{dir}: this is a stash result store (records/ + journal.log), not a series \
              results directory — inspect it with `stash fsck {dir}` or point dash at a \
              directory of stash-series-v1 JSON documents"
-        );
-        return ExitCode::FAILURE;
+        ));
     }
 
     // Load every stash-series-v1 document already in the directory
@@ -1324,13 +1009,8 @@ fn cmd_dash(args: &[String]) -> ExitCode {
     // document is skipped with an explicit note.
     let mut cells: Vec<DashCell> = Vec::new();
     if dir_path.is_dir() {
-        let entries = match std::fs::read_dir(dir_path) {
-            Ok(entries) => entries,
-            Err(e) => {
-                eprintln!("cannot read directory {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let entries =
+            std::fs::read_dir(dir_path).map_err(|e| format!("cannot read directory {dir}: {e}"))?;
         let mut paths: Vec<std::path::PathBuf> = entries
             .filter_map(Result::ok)
             .map(|e| e.path())
@@ -1338,34 +1018,17 @@ fn cmd_dash(args: &[String]) -> ExitCode {
             .collect();
         paths.sort();
         for path in paths {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("cannot read {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            let doc = match serde_json::from_str::<serde_json::Value>(&text) {
-                Ok(doc) => doc,
-                Err(e) => {
-                    eprintln!("{}: invalid JSON: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
+            let shown = path.display();
+            let text =
+                std::fs::read_to_string(&path).map_err(|e| format!("cannot read {shown}: {e}"))?;
+            let doc = serde_json::from_str::<serde_json::Value>(&text)
+                .map_err(|e| format!("{shown}: invalid JSON: {e}"))?;
             if !stash::telemetry::series::is_series_doc(&doc) {
-                println!("skipped (not a series document): {}", path.display());
+                println!("skipped (not a series document): {shown}");
                 continue;
             }
-            match DashCell::from_doc(&doc) {
-                Ok(cell) => {
-                    println!("loaded series: {}", path.display());
-                    cells.push(cell);
-                }
-                Err(e) => {
-                    eprintln!("{}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
+            cells.push(DashCell::from_doc(&doc).map_err(|e| format!("{shown}: {e}"))?);
+            println!("loaded series: {shown}");
         }
     }
 
@@ -1373,24 +1036,10 @@ fn cmd_dash(args: &[String]) -> ExitCode {
     // series documents behind so the next `stash dash` is a pure load.
     if cells.is_empty() {
         println!("no series documents in {dir} — simulating the default sweep");
-        let grid_clusters = ["p3.2xlarge", "p3.8xlarge", "p3.8xlarge*2"];
-        let grid_models = ["ShuffleNet", "ResNet18", "BERT-Large"];
-        for cluster_spec in grid_clusters {
-            let cluster = match parse_cluster(cluster_spec) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            for model_name in grid_models {
-                let model = match lookup_model(model_name) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+        for cluster_spec in ["p3.2xlarge", "p3.8xlarge", "p3.8xlarge*2"] {
+            let cluster = parse_cluster(cluster_spec)?;
+            for model_name in ["ShuffleNet", "ResNet18", "BERT-Large"] {
+                let model = lookup_model(model_name)?;
                 let batch = if model.name.starts_with("BERT") {
                     4
                 } else {
@@ -1398,71 +1047,29 @@ fn cmd_dash(args: &[String]) -> ExitCode {
                 };
                 let mut cfg = TrainConfig::synthetic(cluster.clone(), model, batch, batch * 64);
                 cfg.epoch_mode = EpochMode::Sampled { iterations: 12 };
-                let doc = match run_series(&cfg, None) {
-                    Ok(Some(doc)) => doc,
-                    Ok(None) => {
-                        eprintln!("{cluster_spec} {model_name}: empty series");
-                        return ExitCode::FAILURE;
-                    }
-                    Err(e) => {
-                        eprintln!("{cluster_spec} {model_name}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let cell = match DashCell::from_doc(&doc) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("{cluster_spec} {model_name}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let text = match serde_json::to_string_pretty(&doc) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot serialize series: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let spath = format!(
-                    "{dir}/series_{}_{}.json",
-                    model_name.to_lowercase(),
-                    cluster_spec.replace('*', "x")
-                );
-                if let Err(e) = write_creating_dirs(&spath, &text) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
+                let series = run_series(&cfg, None)
+                    .map_err(|e| format!("{cluster_spec} {model_name}: {e}"))?;
+                let doc = series_doc(&series)
+                    .ok_or_else(|| format!("{cluster_spec} {model_name}: empty series"))?;
+                let cell = DashCell::from_doc(&doc)
+                    .map_err(|e| format!("{cluster_spec} {model_name}: {e}"))?;
+                let spath = format!("{dir}/series_{}.json", slug(model_name, cluster_spec));
+                write_creating_dirs(&spath, &pretty(&doc)?)?;
                 println!("simulated {cluster_spec} x {model_name} -> {spath}");
                 cells.push(cell);
             }
         }
     }
 
-    let dash = Dashboard::new(cells);
-    let html = dash.to_html();
-    let validated = match Dashboard::validate(&html) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("dashboard failed self-validation: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = write_creating_dirs(&out_path, &html) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    let html = Dashboard::new(cells).to_html();
+    let validated =
+        Dashboard::validate(&html).map_err(|e| format!("dashboard failed self-validation: {e}"))?;
+    write_creating_dirs(&out_path, &html)?;
     println!(
         "dashboard validated ({validated} cell{}) and written to {out_path}",
         if validated == 1 { "" } else { "s" }
     );
-    ExitCode::SUCCESS
-}
-
-/// The value following `name`, if the flag is present.
-fn flag_val<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Reconstructs a sweep cell from its journal `plan` descriptor (the
@@ -1519,92 +1126,65 @@ fn quarantined_record_key(path: &std::path::Path) -> Option<String> {
 const SWEEP_CLUSTERS: [&str; 3] = ["p3.2xlarge", "p3.8xlarge", "p3.8xlarge*2"];
 const SWEEP_MODELS: [&str; 3] = ["ShuffleNet", "ResNet18", "AlexNet"];
 
-fn cmd_sweep(args: &[String]) -> ExitCode {
+fn cmd_sweep(args: &[String]) -> CmdResult {
     let usage = "usage: stash sweep [--models A,B] [--clusters X,Y] [-b batch] [--iters N] \
                  [--store DIR] [--resume] [--out CSV] [--io-fault-plan FILE] \
                  [--io-fault-seed N] [--retries N] [--deadline-secs S]";
-    let store_dir = flag_val(args, "--store").cloned();
+    let with_usage = |e: String| format!("{e}\n{usage}");
+    let store_dir = flag_val(args, &["--store"]).map_err(with_usage)?;
     let resume = args.iter().any(|a| a == "--resume");
     if resume && store_dir.is_none() {
-        eprintln!("--resume requires --store DIR\n{usage}");
-        return ExitCode::FAILURE;
+        return Err(with_usage("--resume requires --store DIR".to_string()));
     }
 
     // Sampled iterations per cell. A cell's key covers this (it is part
     // of the descriptor), so records computed at different budgets never
     // collide, and resume replays each cell at its journaled budget.
-    let sampled_iterations = match flag_val(args, "--iters") {
-        None => 6,
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--iters wants a positive integer, got '{v}'\n{usage}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-
+    let positive = |&n: &u64| n >= 1;
+    let sampled_iterations = flag_parse(args, &["--iters"], "a positive integer", positive)
+        .map_err(with_usage)?
+        .unwrap_or(6);
     let mut policy = RetryPolicy::default();
-    if let Some(v) = flag_val(args, "--retries") {
-        match v.parse::<u32>() {
-            Ok(n) if n >= 1 => policy.max_attempts = n,
-            _ => {
-                eprintln!("--retries wants a positive integer, got '{v}'\n{usage}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(n) = flag_parse(args, &["--retries"], "a positive integer", |&n: &u32| {
+        n >= 1
+    })
+    .map_err(with_usage)?
+    {
+        policy.max_attempts = n;
     }
-    if let Some(v) = flag_val(args, "--deadline-secs") {
-        match v.parse::<u64>() {
-            Ok(s) if s >= 1 => policy.deadline_ms = s.saturating_mul(1000),
-            _ => {
-                eprintln!("--deadline-secs wants a positive integer, got '{v}'\n{usage}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(s) = flag_parse(args, &["--deadline-secs"], "a positive integer", positive)
+        .map_err(with_usage)?
+    {
+        policy.deadline_ms = s.saturating_mul(1000);
     }
 
     // The I/O backend: production StdFs, or deterministic fault
     // injection when a plan (file or seed) is given.
-    let fault_plan = match (
-        flag_val(args, "--io-fault-plan"),
-        flag_val(args, "--io-fault-seed"),
-    ) {
+    let plan_path = flag_val(args, &["--io-fault-plan"]).map_err(with_usage)?;
+    let plan_seed =
+        flag_parse(args, &["--io-fault-seed"], "an integer", |_: &u64| true).map_err(with_usage)?;
+    let fault_plan = match (plan_path, plan_seed) {
         (Some(_), Some(_)) => {
-            eprintln!("--io-fault-plan and --io-fault-seed are mutually exclusive\n{usage}");
-            return ExitCode::FAILURE;
+            return Err(with_usage(
+                "--io-fault-plan and --io-fault-seed are mutually exclusive".to_string(),
+            ));
         }
         (Some(path), None) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match IoFaultPlan::from_json(&text) {
-                Ok(plan) => Some((plan, format!("plan file {path}"))),
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let plan = IoFaultPlan::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+            Some((plan, format!("plan file {path}")))
         }
-        (None, Some(seed)) => match seed.parse::<u64>() {
-            Ok(seed) => Some((IoFaultPlan::seeded(seed), format!("seed {seed}"))),
-            Err(_) => {
-                eprintln!("--io-fault-seed wants an integer, got '{seed}'\n{usage}");
-                return ExitCode::FAILURE;
-            }
-        },
+        (None, Some(seed)) => Some((IoFaultPlan::seeded(seed), format!("seed {seed}"))),
         (None, None) => None,
     };
     if fault_plan.is_some() && store_dir.is_none() {
-        eprintln!("I/O fault injection only touches store I/O — add --store DIR\n{usage}");
-        return ExitCode::FAILURE;
+        return Err(with_usage(
+            "I/O fault injection only touches store I/O — add --store DIR".to_string(),
+        ));
     }
 
-    let store = match &store_dir {
+    let store = match store_dir {
         Some(dir) => {
             let io: Box<dyn StoreIo> = match fault_plan {
                 Some((plan, origin)) => {
@@ -1616,13 +1196,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
                 }
                 None => Box::new(StdFs::new()),
             };
-            match ResultStore::open(std::path::Path::new(dir), io) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            Some(ResultStore::open(std::path::Path::new(dir), io).map_err(|e| e.to_string())?)
         }
         None => None,
     };
@@ -1631,43 +1205,31 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
     // lines (what the interrupted sweep intended); otherwise build the
     // flag-selected (or default) cluster x model grid.
     let mut jobs: Vec<ProfileJob> = Vec::new();
-    let mut resumed_from_journal = false;
-    if resume {
-        let Some(store) = &store else {
-            unreachable!("--resume checked above")
-        };
-        let replay = match store.journal().replay(store.io()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cannot replay {}: {e}", store.journal().path().display());
-                return ExitCode::FAILURE;
-            }
-        };
+    if let (true, Some(store)) = (resume, &store) {
+        let replay = store
+            .journal()
+            .replay(store.io())
+            .map_err(|e| format!("cannot replay {}: {e}", store.journal().path().display()))?;
         if replay.torn_tail {
             println!(
                 "sweep: journal has a torn tail (crash mid-append) — trusting the intact prefix"
             );
         }
-        let planned = replay.planned_cells();
-        for (key, detail) in &planned {
-            match job_from_descriptor(detail) {
-                Ok(job) => jobs.push(job),
-                Err(e) => {
-                    eprintln!("journal plan for cell {key}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+        for (key, detail) in &replay.planned_cells() {
+            jobs.push(
+                job_from_descriptor(detail)
+                    .map_err(|e| format!("journal plan for cell {key}: {e}"))?,
+            );
         }
-        if !jobs.is_empty() {
-            resumed_from_journal = true;
-            println!("sweep: resuming {} journaled cell(s)", jobs.len());
-        } else {
+        if jobs.is_empty() {
             println!("sweep: journal is empty — running a fresh sweep");
+        } else {
+            println!("sweep: resuming {} journaled cell(s)", jobs.len());
         }
     }
-    if !resumed_from_journal {
-        let split = |v: Option<&String>, defaults: &[&str]| -> Vec<String> {
-            v.map_or_else(
+    if jobs.is_empty() {
+        let split = |flag: &str, defaults: &[&str]| -> Result<Vec<String>, String> {
+            Ok(flag_val(args, &[flag]).map_err(with_usage)?.map_or_else(
                 || defaults.iter().map(|s| (*s).to_string()).collect(),
                 |s| {
                     s.split(',')
@@ -1676,33 +1238,19 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
                         .map(String::from)
                         .collect()
                 },
-            )
+            ))
         };
-        let cluster_specs = split(flag_val(args, "--clusters"), &SWEEP_CLUSTERS);
-        let model_names = split(flag_val(args, "--models"), &SWEEP_MODELS);
+        let cluster_specs = split("--clusters", &SWEEP_CLUSTERS)?;
+        let model_names = split("--models", &SWEEP_MODELS)?;
         if cluster_specs.is_empty() || model_names.is_empty() {
-            eprintln!("empty --clusters/--models list\n{usage}");
-            return ExitCode::FAILURE;
+            return Err(with_usage("empty --clusters/--models list".to_string()));
         }
-        let batch = parse_batch(args);
+        let batch = parse_batch(args)?;
         for cluster_spec in &cluster_specs {
-            let cluster = match parse_cluster(cluster_spec) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let cluster = parse_cluster(cluster_spec)?;
             for model_name in &model_names {
-                let model = match lookup_model(model_name) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
                 jobs.push(ProfileJob {
-                    stash: stash_for(model, batch)
+                    stash: stash_for(lookup_model(model_name)?, batch)
                         .with_sampled_iterations(sampled_iterations)
                         .with_epoch_samples(20_000),
                     cluster: cluster.clone(),
@@ -1732,16 +1280,16 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         outcome.failed()
     );
 
-    let out_path = flag_val(args, "--out").cloned().unwrap_or_else(|| {
-        store_dir.as_ref().map_or_else(
-            || "results/sweep.csv".to_string(),
-            |dir| format!("{dir}/results.csv"),
-        )
-    });
-    if let Err(e) = write_creating_dirs(&out_path, &outcome.results_csv()) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    let out_path = flag_val(args, &["--out"])?.map_or_else(
+        || {
+            store_dir.map_or_else(
+                || "results/sweep.csv".to_string(),
+                |dir| format!("{dir}/results.csv"),
+            )
+        },
+        str::to_string,
+    );
+    write_creating_dirs(&out_path, &outcome.results_csv())?;
     println!("results written to {out_path}");
 
     if outcome.failed() > 0 {
@@ -1749,36 +1297,25 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             "sweep finished with {} failed cell(s) — see the status column in {out_path}",
             outcome.failed()
         );
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_fsck(args: &[String]) -> ExitCode {
+fn cmd_fsck(args: &[String]) -> CmdResult {
     let Some(dir) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: stash fsck <store-dir> [--repair]");
-        return ExitCode::FAILURE;
+        return Err("usage: stash fsck <store-dir> [--repair]".to_string());
     };
     let repair = args.iter().any(|a| a == "--repair");
 
     if !std::path::Path::new(dir).is_dir() {
-        eprintln!("{dir}: not a directory (fsck wants an existing stash result store)");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "{dir}: not a directory (fsck wants an existing stash result store)"
+        ));
     }
-    let store = match ResultStore::open(std::path::Path::new(dir), Box::new(StdFs::new())) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = match store.fsck() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let store = ResultStore::open(std::path::Path::new(dir), Box::new(StdFs::new()))
+        .map_err(|e| e.to_string())?;
+    let report = store.fsck().map_err(|e| e.to_string())?;
     println!(
         "fsck {dir}: {} record(s) scanned, {} ok, {} issue(s)",
         report.scanned,
@@ -1793,25 +1330,17 @@ fn cmd_fsck(args: &[String]) -> ExitCode {
     // and their record is gone), minus anything that verifies clean now.
     let mut needs_rebuild: std::collections::BTreeSet<String> =
         report.quarantined_keys().into_iter().collect();
-    match store.io().list(&store.quarantine_dir()) {
-        Ok(files) => {
-            for file in files {
-                if let Some(key) = quarantined_record_key(&file) {
-                    needs_rebuild.insert(key);
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("cannot list {}: {e}", store.quarantine_dir().display());
-            return ExitCode::FAILURE;
-        }
-    }
+    let quarantined = store
+        .io()
+        .list(&store.quarantine_dir())
+        .map_err(|e| format!("cannot list {}: {e}", store.quarantine_dir().display()))?;
+    needs_rebuild.extend(quarantined.iter().filter_map(|f| quarantined_record_key(f)));
     needs_rebuild.retain(|key| {
         stash::store::parse_key_hex(key).is_none_or(|k| !matches!(store.get(k), Ok(Fetch::Hit(_))))
     });
     if needs_rebuild.is_empty() {
         println!("store verifies clean");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     if !repair {
         eprintln!(
@@ -1819,19 +1348,16 @@ fn cmd_fsck(args: &[String]) -> ExitCode {
              from the journal",
             needs_rebuild.len()
         );
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
 
     // Repair: re-run the quarantined cells from their journal plans; the
     // engine is deterministic, so a rebuilt record is byte-identical to
     // the one the corruption destroyed.
-    let replay = match store.journal().replay(store.io()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot replay {}: {e}", store.journal().path().display());
-            return ExitCode::FAILURE;
-        }
-    };
+    let replay = store
+        .journal()
+        .replay(store.io())
+        .map_err(|e| format!("cannot replay {}: {e}", store.journal().path().display()))?;
     let mut jobs: Vec<ProfileJob> = Vec::new();
     for key in &needs_rebuild {
         let Some(detail) = replay.plan_for(key) else {
@@ -1880,46 +1406,47 @@ fn cmd_fsck(args: &[String]) -> ExitCode {
     }
     if unrepaired > 0 {
         eprintln!("{unrepaired} record(s) remain unrepaired");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
     println!("repair complete: store verifies clean");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match args.first().map(String::as_str) {
         Some("catalog") => cmd_catalog(),
         Some("models") => cmd_models(),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("advise") => cmd_advise(&args[1..]),
-        Some("probe") => cmd_probe(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("perf") => cmd_perf(&args[1..]),
-        Some("dash") => cmd_dash(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("fsck") => cmd_fsck(&args[1..]),
-        _ => {
-            eprintln!(
-                "stash — DDL stall profiler (ICDCS'23 reproduction)\n\n\
-                 usage:\n  stash catalog\n  stash models\n  \
-                 stash profile <model> <cluster> [-b batch]\n  \
-                 stash advise <model> [-b batch] [--cost|--time]\n  \
-                 stash probe <instance>\n  \
-                 stash trace <instance> <model> [--out PATH] [-b batch]\n  \
-                 stash report <instance> <model> [--out PATH] [-b batch]\n  \
-                 stash diff <baseline.json> <current.json> [--threshold FRAC]\n  \
-                 stash chaos <instance> <model> [--seed N] [--plan FILE] [--out PATH] [--flight PATH] [--series PATH] [-b batch]\n  \
-                 stash perf <cluster|sweep> <model> [-b batch] [--out BASE] [--format csv]\n  \
-                 stash dash <results-dir> [--out PATH]\n  \
-                 stash sweep [--models A,B] [--clusters X,Y] [-b batch] [--iters N] [--store DIR] [--resume] [--out CSV] [--io-fault-plan FILE] [--io-fault-seed N] [--retries N] [--deadline-secs S]\n  \
-                 stash fsck <store-dir> [--repair]\n\n\
-                 clusters: p3.16xlarge, p3.8xlarge*2, ..."
-            );
-            ExitCode::FAILURE
-        }
-    }
+        Some("profile") => cmd_profile(rest),
+        Some("advise") => cmd_advise(rest),
+        Some("probe") => cmd_probe(rest),
+        Some("trace") => cmd_trace(rest),
+        Some("report") => cmd_report(rest),
+        Some("diff") => cmd_diff(rest),
+        Some("chaos") => cmd_chaos(rest),
+        Some("perf") => cmd_perf(rest),
+        Some("dash") => cmd_dash(rest),
+        Some("sweep") => cmd_sweep(rest),
+        Some("fsck") => cmd_fsck(rest),
+        _ => Err("stash — DDL stall profiler (ICDCS'23 reproduction)\n\n\
+             usage:\n  stash catalog\n  stash models\n  \
+             stash profile <model> <cluster> [-b batch]\n  \
+             stash advise <model> [-b batch] [--cost|--time]\n  \
+             stash probe <instance>\n  \
+             stash trace <instance> <model> [--out PATH] [-b batch]\n  \
+             stash report <instance> <model> [--out PATH] [-b batch]\n  \
+             stash diff <baseline.json> <current.json> [--threshold FRAC]\n  \
+             stash chaos <instance> <model> [--seed N] [--plan FILE] [--out PATH] [--flight PATH] [--series PATH] [-b batch]\n  \
+             stash perf <cluster|sweep> <model> [-b batch] [--out BASE] [--format csv]\n  \
+             stash dash <results-dir> [--out PATH]\n  \
+             stash sweep [--models A,B] [--clusters X,Y] [-b batch] [--iters N] [--store DIR] [--resume] [--out CSV] [--io-fault-plan FILE] [--io-fault-seed N] [--retries N] [--deadline-secs S]\n  \
+             stash fsck <store-dir> [--repair]\n\n\
+             clusters: p3.16xlarge, p3.8xlarge*2, ..."
+            .to_string()),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
 }

@@ -70,13 +70,15 @@ fn steady_state_iterations_allocate_exactly_nothing() {
     };
     // Fast-forward would trivialize the gate by not simulating the extra
     // iterations; disable it so every iteration runs event by event.
-    let options = stash::ddl::engine::EngineOptions {
-        fast_forward: false,
-    };
     let run = |arena: &mut EngineArena, iters: u64| {
         let cfg = mk(iters);
         allocations_during(|| {
-            stash::ddl::engine::run_epoch_in_with(&cfg, &options, arena).expect("epoch")
+            let spec = RunSpec {
+                arena: Some(arena),
+                fast_forward: false,
+                ..RunSpec::default()
+            };
+            stash::ddl::engine::run(&cfg, spec).expect("epoch").report
         })
     };
 

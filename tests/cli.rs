@@ -458,6 +458,76 @@ fn sweep_flag_misuse_fails_with_typed_errors() {
 }
 
 #[test]
+fn flag_misuse_fails_with_typed_errors_on_every_command() {
+    // A value-taking flag given last is an error naming the flag, never a
+    // silent fall-back to the default.
+    let trailing: &[&[&str]] = &[
+        &["profile", "resnet18", "p3.2xlarge", "-b"],
+        &["advise", "resnet18", "--batch"],
+        &["trace", "p3.2xlarge", "alexnet", "--out"],
+        &["report", "p3.2xlarge", "alexnet", "-o"],
+        &["diff", "a.json", "b.json", "--threshold"],
+        &["chaos", "p3.2xlarge", "alexnet", "--seed"],
+        &["chaos", "p3.2xlarge", "alexnet", "--plan"],
+        &["chaos", "p3.2xlarge", "alexnet", "--series"],
+        &["chaos", "p3.2xlarge", "alexnet", "--flight"],
+        &["perf", "p3.2xlarge", "alexnet", "--format"],
+        &["dash", "stash_cli_no_such_dir", "--out"],
+        &["sweep", "--store"],
+        &["sweep", "--iters"],
+    ];
+    for args in trailing {
+        let flag = args.last().unwrap();
+        let out = stash(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("{flag} wants a value")),
+            "{args:?}: {stderr}"
+        );
+    }
+
+    // A malformed number is rejected, not replaced by the default batch
+    // or regression threshold.
+    let batch_err = "-b wants a positive integer, got 'abc'";
+    let malformed: &[(&[&str], &str)] = &[
+        (
+            &["profile", "resnet18", "p3.2xlarge", "-b", "abc"],
+            batch_err,
+        ),
+        (&["advise", "resnet18", "--batch", "abc"], batch_err),
+        (&["trace", "p3.2xlarge", "alexnet", "-b", "abc"], batch_err),
+        (&["report", "p3.2xlarge", "alexnet", "-b", "abc"], batch_err),
+        (&["chaos", "p3.2xlarge", "alexnet", "-b", "abc"], batch_err),
+        (&["perf", "p3.2xlarge", "alexnet", "-b", "abc"], batch_err),
+        (&["sweep", "-b", "abc"], batch_err),
+        (
+            &["profile", "resnet18", "p3.2xlarge", "-b", "0"],
+            "-b wants a positive integer, got '0'",
+        ),
+        (
+            &["diff", "a.json", "b.json", "--threshold", "abc"],
+            "--threshold wants a non-negative number, got 'abc'",
+        ),
+        (
+            &["diff", "a.json", "b.json", "-t", "-0.5"],
+            "--threshold wants a non-negative number, got '-0.5'",
+        ),
+        (
+            &["chaos", "p3.2xlarge", "alexnet", "--seed", "lots"],
+            "--seed wants an unsigned integer, got 'lots'",
+        ),
+    ];
+    for (args, want) in malformed {
+        let out = stash(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+    }
+}
+
+#[test]
 fn fsck_and_perf_reject_doctored_paths() {
     // fsck on a path that does not exist must not create a store there.
     let ghost = std::env::temp_dir().join("stash_cli_fsck_ghost_test");

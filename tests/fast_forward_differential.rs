@@ -6,7 +6,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash::ddl::engine::{run_epoch_in, run_epoch_with, EngineArena, EngineOptions};
+use stash::ddl::engine::{self, EngineArena, RunSpec};
 use stash::ddl::perf_stats;
 use stash::prelude::*;
 
@@ -20,7 +20,15 @@ fn clusters() -> Vec<ClusterSpec> {
 }
 
 fn run(cfg: &TrainConfig, fast_forward: bool) -> EpochReport {
-    run_epoch_with(cfg, &EngineOptions { fast_forward }).expect("epoch")
+    engine::run(
+        cfg,
+        RunSpec {
+            fast_forward,
+            ..RunSpec::default()
+        },
+    )
+    .expect("epoch")
+    .report
 }
 
 #[test]
@@ -87,7 +95,15 @@ fn reused_arena_is_bit_identical_to_fresh_state() {
             let mut cfg = TrainConfig::synthetic(cluster.clone(), model, 32, 32 * 40);
             cfg.epoch_mode = EpochMode::Sampled { iterations: 8 };
             let fresh = run_epoch(&cfg).expect("fresh");
-            let reused = run_epoch_in(&cfg, &mut arena).expect("reused");
+            let reused = engine::run(
+                &cfg,
+                RunSpec {
+                    arena: Some(&mut arena),
+                    ..RunSpec::default()
+                },
+            )
+            .expect("reused")
+            .report;
             assert_eq!(
                 fresh,
                 reused,

@@ -10,9 +10,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use stash::ddl::engine::{
-    run_epoch_faulted_traced, run_epoch_faulted_with, run_epoch_with, EngineOptions,
-};
 use stash::prelude::*;
 
 fn clusters() -> Vec<ClusterSpec> {
@@ -26,10 +23,24 @@ fn clusters() -> Vec<ClusterSpec> {
 
 fn assert_identical(cfg: &TrainConfig, what: &str) {
     for fast_forward in [false, true] {
-        let options = EngineOptions { fast_forward };
-        let plain = run_epoch_with(cfg, &options).expect("plain epoch");
-        let faulted =
-            run_epoch_faulted_with(cfg, &FaultPlan::empty(), &options).expect("faulted epoch");
+        let plain = run(
+            cfg,
+            RunSpec {
+                fast_forward,
+                ..RunSpec::default()
+            },
+        )
+        .expect("plain epoch")
+        .report;
+        let faulted = run(
+            cfg,
+            RunSpec {
+                plan: Some(&FaultPlan::empty()),
+                fast_forward,
+                ..RunSpec::default()
+            },
+        )
+        .expect("faulted epoch");
         assert_eq!(
             plain, faulted.report,
             "empty plan drifted for {what} (fast_forward={fast_forward})"
@@ -95,14 +106,29 @@ fn seeded_plans_are_deterministic_across_runs_and_fast_forward() {
     let base = run_epoch(&cfg).expect("baseline");
     for seed in [1, 7, 23] {
         let plan = FaultPlan::seeded(seed, cfg.cluster.world_size(), 2, base.epoch_time);
-        let a = run_epoch_faulted(&cfg, &plan).expect("a");
-        let b = run_epoch_faulted(&cfg, &plan).expect("b");
-        assert_eq!(a, b, "seed {seed} not deterministic");
-        let no_ff = run_epoch_faulted_with(
+        let a = run(
             &cfg,
-            &plan,
-            &EngineOptions {
+            RunSpec {
+                plan: Some(&plan),
+                ..RunSpec::default()
+            },
+        )
+        .expect("a");
+        let b = run(
+            &cfg,
+            RunSpec {
+                plan: Some(&plan),
+                ..RunSpec::default()
+            },
+        )
+        .expect("b");
+        assert_eq!(a, b, "seed {seed} not deterministic");
+        let no_ff = run(
+            &cfg,
+            RunSpec {
+                plan: Some(&plan),
                 fast_forward: false,
+                ..RunSpec::default()
             },
         )
         .expect("no ff");
@@ -146,7 +172,15 @@ fn faulted_accumulators_tile_and_reconcile_with_the_trace() {
 
     let sink = Rc::new(RefCell::new(JsonSink::new()));
     let tracer = shared(Tracer::new(sink.clone()));
-    let run = run_epoch_faulted_traced(&cfg, &plan, &tracer).expect("faulted");
+    let run = run(
+        &cfg,
+        RunSpec {
+            plan: Some(&plan),
+            tracer: Some(&tracer),
+            ..RunSpec::default()
+        },
+    )
+    .expect("faulted");
     let r = &run.report;
     assert!(r.recovery_time > SimDuration::ZERO);
     assert!(r.straggler_time > SimDuration::ZERO);
@@ -214,7 +248,14 @@ fn elastic_reformation_conserves_survivor_time() {
             restart_after: None,
         },
     });
-    let run = run_epoch_faulted(&cfg, &plan).expect("faulted");
+    let run = run(
+        &cfg,
+        RunSpec {
+            plan: Some(&plan),
+            ..RunSpec::default()
+        },
+    )
+    .expect("faulted");
     let r = &run.report;
     assert_eq!(run.faults.dead_nodes, vec![1]);
     assert_eq!(r.world, base.world / 2);

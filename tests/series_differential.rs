@@ -13,7 +13,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash::ddl::engine::{run_epoch_faulted_with, run_epoch_series, run_epoch_with, EngineOptions};
 use stash::prelude::*;
 use stash::telemetry::series::IterSeries;
 
@@ -98,10 +97,25 @@ fn series_reconciles_exactly_and_never_perturbs() {
                     cfg.cluster.display_name(),
                     model.name
                 );
-                let options = EngineOptions { fast_forward };
-                let plain = run_epoch_with(&cfg, &options).expect("plain epoch");
-                let sr = run_epoch_series(&cfg, &options, None).expect("series epoch");
-                assert_eq!(plain, sr.run.report, "{what}: series perturbed the report");
+                let plain = run(
+                    &cfg,
+                    RunSpec {
+                        fast_forward,
+                        ..RunSpec::default()
+                    },
+                )
+                .expect("plain epoch")
+                .report;
+                let sr = run(
+                    &cfg,
+                    RunSpec {
+                        series: true,
+                        fast_forward,
+                        ..RunSpec::default()
+                    },
+                )
+                .expect("series epoch");
+                assert_eq!(plain, sr.report, "{what}: series perturbed the report");
                 assert!(!sr.series.is_empty(), "{what}: empty series");
                 let t = sr.series.totals();
                 assert_eq!(
@@ -123,12 +137,25 @@ fn series_reconciles_exactly_and_never_perturbs() {
         32 * 200,
     );
     long.epoch_mode = EpochMode::Full;
-    let plain = run_epoch_with(&long, &EngineOptions { fast_forward: true }).expect("plain");
-    let sr = run_epoch_series(&long, &EngineOptions { fast_forward: true }, None).expect("series");
-    assert_eq!(
-        plain, sr.run.report,
-        "long run: series perturbed the report"
-    );
+    let plain = run(
+        &long,
+        RunSpec {
+            fast_forward: true,
+            ..RunSpec::default()
+        },
+    )
+    .expect("plain")
+    .report;
+    let sr = run(
+        &long,
+        RunSpec {
+            series: true,
+            fast_forward: true,
+            ..RunSpec::default()
+        },
+    )
+    .expect("series");
+    assert_eq!(plain, sr.report, "long run: series perturbed the report");
     let t = sr.series.totals();
     assert!(
         t.ff_iterations > 0,
@@ -160,12 +187,32 @@ fn series_reconciles_exactly_and_never_perturbs() {
         let plan = FaultPlan::seeded(seed, faulty.cluster.world_size(), 2, base.epoch_time);
         for fast_forward in [false, true] {
             let what = format!("seed {seed} ff={fast_forward}");
-            let options = EngineOptions { fast_forward };
-            let faulted = run_epoch_faulted_with(&faulty, &plan, &options).expect("faulted epoch");
-            let sr = run_epoch_series(&faulty, &options, Some(&plan)).expect("series epoch");
-            assert_eq!(faulted, sr.run, "{what}: series perturbed the faulted run");
-            assert_reconciles(&sr.run.report, &sr.series, &what);
-            let fired = sr.run.faults.events.iter().filter(|e| e.fired).count();
+            let faulted = run(
+                &faulty,
+                RunSpec {
+                    plan: Some(&plan),
+                    fast_forward,
+                    ..RunSpec::default()
+                },
+            )
+            .expect("faulted epoch");
+            let sr = run(
+                &faulty,
+                RunSpec {
+                    plan: Some(&plan),
+                    series: true,
+                    fast_forward,
+                    ..RunSpec::default()
+                },
+            )
+            .expect("series epoch");
+            assert_eq!(
+                (&faulted.report, &faulted.faults),
+                (&sr.report, &sr.faults),
+                "{what}: series perturbed the faulted run"
+            );
+            assert_reconciles(&sr.report, &sr.series, &what);
+            let fired = sr.faults.events.iter().filter(|e| e.fired).count();
             assert!(
                 sr.series.annotations.len() >= fired,
                 "{what}: {fired} fired events but only {} annotations",
@@ -192,8 +239,15 @@ fn series_reconciles_exactly_and_never_perturbs() {
     );
     cfg.epoch_mode = EpochMode::Sampled { iterations: 8 };
     let plain = run_epoch(&cfg).expect("plain epoch");
-    let sr =
-        run_epoch_series(&cfg, &EngineOptions { fast_forward: true }, None).expect("series epoch");
-    assert_eq!(plain, sr.run.report, "disabled: report drift");
+    let sr = run(
+        &cfg,
+        RunSpec {
+            series: true,
+            fast_forward: true,
+            ..RunSpec::default()
+        },
+    )
+    .expect("series epoch");
+    assert_eq!(plain, sr.report, "disabled: report drift");
     assert!(sr.series.is_empty(), "disabled: series not empty");
 }

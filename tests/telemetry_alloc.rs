@@ -92,13 +92,15 @@ fn telemetry_records_allocate_exactly_nothing() {
         cfg.epoch_mode = EpochMode::Sampled { iterations: iters };
         cfg
     };
-    let options = stash::ddl::engine::EngineOptions {
-        fast_forward: false,
-    };
     let run = |arena: &mut EngineArena, iters: u64| {
         let cfg = mk(iters);
         allocations_during(|| {
-            stash::ddl::engine::run_epoch_in_with(&cfg, &options, arena).expect("epoch")
+            let spec = RunSpec {
+                arena: Some(arena),
+                fast_forward: false,
+                ..RunSpec::default()
+            };
+            stash::ddl::engine::run(&cfg, spec).expect("epoch").report
         })
     };
 

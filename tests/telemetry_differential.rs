@@ -12,7 +12,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use stash::ddl::engine::{run_epoch_with, EngineOptions};
 use stash::prelude::*;
 
 fn configs() -> Vec<TrainConfig> {
@@ -55,33 +54,36 @@ fn configs() -> Vec<TrainConfig> {
 #[test]
 fn epoch_reports_are_bit_identical_with_telemetry_on() {
     let configs = configs();
-    let modes = [
-        EngineOptions { fast_forward: true },
-        EngineOptions {
-            fast_forward: false,
-        },
-    ];
+    let modes = [true, false];
 
     stash::telemetry::disable();
     let mut baseline = Vec::new();
     for cfg in &configs {
-        for options in &modes {
-            baseline.push(run_epoch_with(cfg, options).expect("disabled run"));
+        for &fast_forward in &modes {
+            let spec = RunSpec {
+                fast_forward,
+                ..RunSpec::default()
+            };
+            baseline.push(run(cfg, spec).expect("disabled run").report);
         }
     }
 
     stash::telemetry::enable();
     let mut i = 0;
     for cfg in &configs {
-        for options in &modes {
-            let report = run_epoch_with(cfg, options).expect("enabled run");
+        for &fast_forward in &modes {
+            let spec = RunSpec {
+                fast_forward,
+                ..RunSpec::default()
+            };
+            let report = run(cfg, spec).expect("enabled run").report;
             assert_eq!(
                 report,
                 baseline[i],
                 "telemetry changed the simulation: {} on {} (fast_forward: {})",
                 cfg.model.name,
                 cfg.cluster.display_name(),
-                options.fast_forward
+                fast_forward
             );
             i += 1;
         }
