@@ -26,6 +26,7 @@ use stash_hwtopo::cluster::ClusterSpec;
 use stash_hwtopo::instance::{
     p2_16xlarge, p2_8xlarge, p2_xlarge, p3_16xlarge, p3_24xlarge, p3_2xlarge, p3_8xlarge,
 };
+use stash_telemetry::snapshot::Snapshot;
 use stash_trace::rollup::StallRollup;
 use stash_trace::span::{Category, Track};
 
@@ -147,6 +148,9 @@ pub struct SweepPerf {
     pub fast_forwarded_iterations: u64,
     /// Discrete events delivered by engine event queues.
     pub sim_events: u64,
+    /// Telemetry-registry activity during the sweep: counters and
+    /// histograms as deltas, gauges as high-water marks.
+    pub registry: Snapshot,
 }
 
 impl SweepPerf {
@@ -161,32 +165,13 @@ impl SweepPerf {
         }
     }
 
-    /// Renders the sweep record in the Prometheus text exposition format
-    /// (the same `stash_*` families `stash trace` dumps), so sweeps and
-    /// traces can be scraped side by side.
+    /// Renders the sweep record in the Prometheus text exposition format:
+    /// the sweep-only job, wall-time and thread families, then the
+    /// registry's `stash_*` families (the same ones `stash perf` dumps)
+    /// over the sweep, so sweeps and traces can be scraped side by side.
     #[must_use]
     pub fn prometheus(&self) -> String {
         let mut b = stash_telemetry::prom::MetricsBuilder::new();
-        b.family(
-            "stash_measurement_cache_hits_total",
-            "counter",
-            "Profiler measurement-cache hits during the sweep.",
-        );
-        b.sample(
-            "stash_measurement_cache_hits_total",
-            &[],
-            self.cache_hits as f64,
-        );
-        b.family(
-            "stash_measurement_cache_misses_total",
-            "counter",
-            "Profiler measurement-cache misses (engine runs) during the sweep.",
-        );
-        b.sample(
-            "stash_measurement_cache_misses_total",
-            &[],
-            self.cache_misses as f64,
-        );
         b.family(
             "stash_sweep_jobs_total",
             "counter",
@@ -205,43 +190,11 @@ impl SweepPerf {
             "Worker threads used by the sweep.",
         );
         b.sample("stash_sweep_threads", &[], self.threads as f64);
-        b.family(
-            "stash_solver_full_recomputes_total",
-            "counter",
-            "Full water-filling solves performed by the flow solver.",
-        );
-        b.sample(
-            "stash_solver_full_recomputes_total",
-            &[],
-            self.full_recomputes as f64,
-        );
-        b.family(
-            "stash_solver_shortcut_events_total",
-            "counter",
-            "Network state changes settled by incremental shortcuts.",
-        );
-        b.sample(
-            "stash_solver_shortcut_events_total",
-            &[],
-            self.shortcut_events as f64,
-        );
-        b.family(
-            "stash_fast_forwarded_iterations_total",
-            "counter",
-            "Iterations extended analytically by steady-state fast-forward.",
-        );
-        b.sample(
-            "stash_fast_forwarded_iterations_total",
-            &[],
-            self.fast_forwarded_iterations as f64,
-        );
-        b.family(
-            "stash_sim_events_total",
-            "counter",
-            "Discrete events delivered by engine event queues.",
-        );
-        b.sample("stash_sim_events_total", &[], self.sim_events as f64);
-        b.finish()
+        // The registry families are disjoint from the sweep families, so
+        // the concatenation is still one valid exposition.
+        let mut text = b.finish();
+        text.push_str(&self.registry.render_prom());
+        text
     }
 }
 
@@ -267,13 +220,15 @@ pub fn run_sweep(jobs: Vec<SweepJob>) -> (Vec<Result<StallReport, ProfileError>>
         .collect();
 
     let cache = MeasurementCache::new();
+    let registry_before = Snapshot::take();
     let perf_before = stash_ddl::perf_stats::snapshot();
     let started = Instant::now();
     let results = par_profile_many(&profile_jobs, Some(&cache));
     let wall_secs = started.elapsed().as_secs_f64();
     let stats = cache.stats();
-    // Solver/fast-forward activity attributed to this sweep only (the
-    // counters are process-wide monotonic atomics).
+    // Activity attributed to this sweep only (the registry counters are
+    // process-wide monotonic atomics).
+    let registry = Snapshot::take().since(&registry_before);
     let solver = stash_ddl::perf_stats::snapshot().since(&perf_before);
 
     let (serial_secs, speedup, warm_secs, warm_speedup) =
@@ -328,13 +283,9 @@ pub fn run_sweep(jobs: Vec<SweepJob>) -> (Vec<Result<StallReport, ProfileError>>
         shortcut_events: solver.shortcut_events,
         fast_forwarded_iterations: solver.fast_forwarded_iterations,
         sim_events: solver.sim_events,
+        registry,
     };
-    let mut prom_text = perf.prometheus();
-    if stash_telemetry::enabled() {
-        // The registry families are disjoint from the sweep families, so
-        // the concatenation is still one valid exposition.
-        prom_text.push_str(&stash_telemetry::snapshot::Snapshot::take().render_prom());
-    }
+    let prom_text = perf.prometheus();
     if let Err(e) = stash_telemetry::prom::validate(&prom_text) {
         panic!("sweep metrics failed exposition validation: {e}");
     }
@@ -658,7 +609,16 @@ mod tests {
     }
 
     #[test]
-    fn sweep_perf_prometheus_exposes_cache_counters() {
+    fn sweep_perf_prometheus_renders_sweep_families_and_the_registry_delta() {
+        let mut registry = Snapshot::zero();
+        for (name, v) in &mut registry.counters {
+            match *name {
+                "stash_cache_hits_total" => *v = 42,
+                "stash_sim_solver_full_recomputes_total" => *v = 11,
+                "stash_sim_queue_events_popped_total" => *v = 5_000,
+                _ => {}
+            }
+        }
         let perf = SweepPerf {
             wall_secs: 1.5,
             serial_secs: None,
@@ -673,17 +633,25 @@ mod tests {
             shortcut_events: 1_000,
             fast_forwarded_iterations: 640,
             sim_events: 5_000,
+            registry,
         };
         let text = perf.prometheus();
         stash_telemetry::prom::validate(&text).unwrap();
-        assert!(text.contains("stash_measurement_cache_hits_total 42"));
-        assert!(text.contains("stash_measurement_cache_misses_total 7"));
         assert!(text.contains("stash_sweep_jobs_total 9"));
         assert!(text.contains("# TYPE stash_sweep_wall_seconds gauge"));
-        assert!(text.contains("stash_solver_full_recomputes_total 11"));
-        assert!(text.contains("stash_solver_shortcut_events_total 1000"));
-        assert!(text.contains("stash_fast_forwarded_iterations_total 640"));
-        assert!(text.contains("stash_sim_events_total 5000"));
+        assert!(text.contains("stash_sweep_threads 4"));
+        assert!(text.contains("stash_cache_hits_total 42"));
+        assert!(text.contains("stash_sim_solver_full_recomputes_total 11"));
+        assert!(text.contains("stash_sim_queue_events_popped_total 5000"));
+        // Registry facts appear once, under their registry names.
+        for shadow in [
+            "stash_measurement_cache_hits_total",
+            "stash_solver_full_recomputes_total",
+            "stash_fast_forwarded_iterations_total",
+            "stash_sim_events_total",
+        ] {
+            assert!(!text.contains(shadow), "{shadow} re-declared");
+        }
     }
 
     #[test]

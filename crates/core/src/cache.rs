@@ -16,16 +16,20 @@
 //! reference-instance measurements — e.g. steps 1/2 of every multi-node
 //! p3 cluster re-measure the same `p3.16xlarge` epochs.
 //!
+//! Misses are single-flight: the first thread to miss a key simulates it
+//! while later threads asking for the same key wait for that result
+//! instead of simulating it again.
+//!
 //! [`run_epoch`]: stash_ddl::engine::run_epoch
 //! [`par_profile_many`]: crate::profiler::par_profile_many
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use serde::Serialize;
 use stash_ddl::config::TrainConfig;
-use stash_ddl::engine::{run, run_epoch, EngineArena, RunSpec};
+use stash_ddl::engine::{run, EngineArena, RunSpec};
 use stash_simkit::time::SimDuration;
 
 use crate::error::ProfileError;
@@ -52,6 +56,13 @@ impl CacheStats {
     }
 }
 
+/// One cache entry: being simulated by some thread, or measured.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Pending,
+    Ready(SimDuration),
+}
+
 /// A thread-safe memo of epoch measurements keyed by training config.
 ///
 /// # Examples
@@ -73,7 +84,9 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct MeasurementCache {
-    entries: Mutex<HashMap<u128, SimDuration>>,
+    entries: Mutex<HashMap<u128, Slot>>,
+    /// Signalled whenever a pending entry resolves or is abandoned.
+    resolved: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -88,7 +101,7 @@ impl MeasurementCache {
     /// Acquires the entry map, preserving the poisoning panic the public
     /// accessors document (a poisoned cache means a measurement thread
     /// died mid-insert; results can no longer be trusted).
-    fn locked(&self) -> std::sync::MutexGuard<'_, HashMap<u128, SimDuration>> {
+    fn locked(&self) -> MutexGuard<'_, HashMap<u128, Slot>> {
         match self.entries.lock() {
             Ok(guard) => guard,
             Err(_) => panic!("cache poisoned"),
@@ -102,7 +115,10 @@ impl MeasurementCache {
     /// Panics if the cache mutex was poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.locked().len()
+        self.locked()
+            .values()
+            .filter(|s| matches!(s, Slot::Ready(_)))
+            .count()
     }
 
     /// `true` when nothing is cached.
@@ -125,26 +141,24 @@ impl MeasurementCache {
         self.misses.store(0, Ordering::Relaxed);
     }
 
-    /// Drops every stored measurement (counters are kept). Each dropped
-    /// entry counts as an eviction in the telemetry registry.
+    /// Drops every stored measurement (counters are kept; measurements
+    /// still in flight land afterwards). Each dropped entry counts as an
+    /// eviction in the telemetry registry.
     ///
     /// # Panics
     ///
     /// Panics if the cache mutex was poisoned.
     pub fn clear(&self) {
         let mut entries = self.locked();
-        let evicted = entries.len() as u64;
-        entries.clear();
+        let before = entries.len();
+        entries.retain(|_, s| matches!(s, Slot::Pending));
+        let evicted = (before - entries.len()) as u64;
         stash_telemetry::metrics::CACHE_EVICTIONS.add(evicted);
     }
 
     /// The epoch time for `cfg`, simulated on first request and memoized
     /// after. The engine is deterministic, so a cached result is
     /// bit-identical to a fresh run.
-    ///
-    /// The engine runs outside the lock: concurrent misses on the same key
-    /// may race to simulate, but both compute the same value, so the
-    /// duplicate insert is harmless.
     ///
     /// # Errors
     ///
@@ -154,23 +168,17 @@ impl MeasurementCache {
     ///
     /// Panics if the cache mutex was poisoned.
     pub fn epoch_time(&self, cfg: &TrainConfig) -> Result<SimDuration, ProfileError> {
-        let key = config_key(cfg);
-        if let Some(&t) = self.locked().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            stash_telemetry::metrics::CACHE_HITS.inc();
-            return Ok(t);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        stash_telemetry::metrics::CACHE_MISSES.inc();
-        let t = run_epoch(cfg)?.epoch_time;
-        self.locked().insert(key, t);
-        Ok(t)
+        self.epoch_time_in(cfg, &mut EngineArena::new())
     }
 
     /// [`Self::epoch_time`] measuring misses inside a caller-owned
     /// [`EngineArena`], so a loop over many configurations reuses one
     /// simulator allocation instead of rebuilding per miss. Results are
     /// bit-identical to [`Self::epoch_time`].
+    ///
+    /// The engine runs outside the lock. A thread that finds the key
+    /// pending waits for the simulating thread and counts a hit; if that
+    /// simulation fails, waiters wake and the next one retries.
     ///
     /// # Errors
     ///
@@ -185,24 +193,64 @@ impl MeasurementCache {
         arena: &mut EngineArena,
     ) -> Result<SimDuration, ProfileError> {
         let key = config_key(cfg);
-        if let Some(&t) = self.locked().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            stash_telemetry::metrics::CACHE_HITS.inc();
-            return Ok(t);
+        let mut entries = self.locked();
+        loop {
+            match entries.get(&key) {
+                Some(&Slot::Ready(t)) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    stash_telemetry::metrics::CACHE_HITS.inc();
+                    return Ok(t);
+                }
+                Some(Slot::Pending) => {
+                    entries = match self.resolved.wait(entries) {
+                        Ok(guard) => guard,
+                        Err(_) => panic!("cache poisoned"),
+                    };
+                }
+                None => break,
+            }
         }
+        entries.insert(key, Slot::Pending);
+        drop(entries);
         self.misses.fetch_add(1, Ordering::Relaxed);
         stash_telemetry::metrics::CACHE_MISSES.inc();
-        let t = run(
-            cfg,
-            RunSpec {
-                arena: Some(arena),
-                ..RunSpec::default()
-            },
-        )?
-        .report
-        .epoch_time;
-        self.locked().insert(key, t);
+        let mut flight = InFlight {
+            cache: self,
+            key,
+            result: None,
+        };
+        let spec = RunSpec {
+            arena: Some(arena),
+            ..RunSpec::default()
+        };
+        let t = run(cfg, spec)?.report.epoch_time;
+        flight.result = Some(t);
         Ok(t)
+    }
+}
+
+/// A pending entry owned by the thread simulating it. Dropping it
+/// publishes the result, or on error or panic removes the entry so a
+/// waiter can retry, and wakes every waiter either way.
+struct InFlight<'a> {
+    cache: &'a MeasurementCache,
+    key: u128,
+    result: Option<SimDuration>,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        // Never panic here: this may run while unwinding.
+        let mut entries = self
+            .cache
+            .entries
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        match self.result {
+            Some(t) => entries.insert(self.key, Slot::Ready(t)),
+            None => entries.remove(&self.key),
+        };
+        self.cache.resolved.notify_all();
     }
 }
 
@@ -231,6 +279,7 @@ pub fn config_key(cfg: &TrainConfig) -> u128 {
 mod tests {
     use super::*;
     use stash_ddl::config::ActiveGpus;
+    use stash_ddl::engine::run_epoch;
     use stash_dnn::zoo;
     use stash_hwtopo::cluster::ClusterSpec;
     use stash_hwtopo::instance::p3_8xlarge;
@@ -281,6 +330,49 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    /// Runs `f` on `n` threads released together by a barrier.
+    fn concurrently<T: Send>(n: usize, f: impl Fn() -> T + Sync) -> Vec<T> {
+        let gate = std::sync::Barrier::new(n);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        f()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_key_simulate_once() {
+        let cache = MeasurementCache::new();
+        let times = concurrently(4, || cache.epoch_time(&cfg()).unwrap());
+        assert!(times.iter().all(|&t| t == times[0]));
+        assert_eq!(cache.stats(), CacheStats { hits: 3, misses: 1 });
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_failed_measurement_wakes_its_waiters() {
+        // BERT-large at batch 64 does not fit a V100: every lookup errors,
+        // and none may wait forever on the failed thread's entry.
+        let mut oom = TrainConfig::synthetic(
+            ClusterSpec::single(stash_hwtopo::instance::p3_2xlarge()),
+            zoo::bert_large(),
+            64,
+            640,
+        );
+        oom.epoch_mode = stash_ddl::config::EpochMode::Sampled { iterations: 2 };
+        let cache = MeasurementCache::new();
+        let results = concurrently(4, || cache.epoch_time(&oom));
+        assert!(results.iter().all(Result::is_err));
+        assert!(cache.is_empty(), "errors are never cached");
+        assert_eq!(cache.stats().hits, 0);
     }
 
     #[test]

@@ -31,7 +31,6 @@ use stash_trace::{Category, SharedTracer, Track};
 
 use crate::config::{ActiveGpus, DataMode, TrainConfig};
 use crate::error::TrainError;
-use crate::perf_stats;
 use crate::recovery::{FaultOutcome, FaultRecord, StragglerDetection};
 use crate::report::{EpochReport, IterationSample, Run};
 
@@ -228,6 +227,12 @@ impl EngineArena {
     pub fn new() -> EngineArena {
         EngineArena::default()
     }
+
+    /// The event-queue counters of the last epoch run in this arena.
+    #[must_use]
+    pub fn queue_counters(&self) -> QueueCounters {
+        self.q.counters()
+    }
 }
 
 /// Consecutive identical iteration fingerprints (per rank) and identical
@@ -273,7 +278,8 @@ struct SeriesMark {
     comm_wait: SimDuration,
     recovery: SimDuration,
     straggler: SimDuration,
-    /// Flow-solver full-recompute counter at the boundary.
+    /// Flow-solver full-recompute counter at the boundary (the network
+    /// is reset per epoch, so it starts at zero).
     recomputes: u64,
 }
 
@@ -473,12 +479,13 @@ struct Engine<'a> {
     /// dead code and the simulation is bit-identical to the fault-free
     /// engine.
     faults: Option<FaultRuntime>,
-    /// Iterations skipped by fast-forward (diagnostic only; flushed to
-    /// [`perf_stats`], never reported in the [`EpochReport`]).
+    /// Host-side diagnostics, never reported in the [`EpochReport`]:
+    /// iterations skipped by fast-forward, whether the arena came back
+    /// warm, and fault-runtime event branches taken. Flushed with the
+    /// queue and network counters by [`Engine::flush_counters`].
     ff_iterations: u64,
-    /// Flow-network recompute counters at construction, so per-epoch deltas
-    /// survive arena reuse.
-    net_stats0: (u64, u64),
+    arena_reused: bool,
+    fault_branches: u64,
     /// Iteration-series recorder; `None` unless [`RunSpec::series`] was
     /// set with the telemetry switch on. Pure observation — never
     /// perturbs the simulation.
@@ -501,11 +508,9 @@ impl<'a> Engine<'a> {
         arena: &mut EngineArena,
     ) -> Result<Engine<'a>, TrainError> {
         let mut net = std::mem::take(&mut arena.net);
-        if net.link_count() > 0 {
-            // A non-empty network means this arena already ran an epoch:
-            // its slabs and route pools come back warm.
-            stash_telemetry::metrics::ARENA_REUSE.inc();
-        }
+        // A non-empty network means this arena already ran an epoch: its
+        // slabs and route pools come back warm.
+        let arena_reused = net.link_count() > 0;
         net.reset();
         let mut q = std::mem::take(&mut arena.q);
         q.reset();
@@ -592,7 +597,6 @@ impl<'a> Engine<'a> {
             Vec::new()
         };
 
-        let net_stats0 = net.recompute_stats();
         // Fast-forward needs exactly repeating iterations: synthetic input
         // (loader pipelines have their own long-period state), no
         // per-iteration trace samples, and enough iterations for the
@@ -732,16 +736,14 @@ impl<'a> Engine<'a> {
             ff,
             faults,
             ff_iterations: 0,
-            net_stats0,
-            // Behind the telemetry switch like every other self-observation
+            arena_reused,
+            fault_branches: 0,
+            // Behind the telemetry switch like every other per-sample
             // layer: a series run with the switch off records
             // nothing (and allocates nothing).
             series: (spec.series && stash_telemetry::enabled()).then(|| SeriesState {
                 rec: SeriesRecorder::new(),
-                mark: SeriesMark {
-                    recomputes: net_stats0.0,
-                    ..SeriesMark::default()
-                },
+                mark: SeriesMark::default(),
             }),
         })
     }
@@ -845,7 +847,7 @@ impl<'a> Engine<'a> {
             return;
         };
         let r = &self.ranks[rank];
-        let (full_recomputes, _) = self.net.recompute_stats();
+        let full_recomputes = self.net.counters().full_recomputes;
         let m = s.mark;
         let delta =
             |cur: SimDuration, base: SimDuration| cur.as_nanos() as i64 - base.as_nanos() as i64;
@@ -967,15 +969,15 @@ impl<'a> Engine<'a> {
                     }
                 }
                 Ev::Fault { idx } => {
-                    stash_telemetry::metrics::FAULT_BRANCHES.inc();
+                    self.fault_branches += 1;
                     self.on_fault_fired(idx);
                 }
                 Ev::FaultClear { idx } => {
-                    stash_telemetry::metrics::FAULT_BRANCHES.inc();
+                    self.fault_branches += 1;
                     self.on_fault_cleared(idx);
                 }
                 Ev::FaultResume => {
-                    stash_telemetry::metrics::FAULT_BRANCHES.inc();
+                    self.fault_branches += 1;
                     self.on_fault_resume();
                 }
             }
@@ -1295,7 +1297,6 @@ impl<'a> Engine<'a> {
         if !confirmed {
             return false;
         }
-        stash_telemetry::metrics::FF_CONFIRMATIONS.inc();
         self.fast_forward_to_end(iter, period);
         true
     }
@@ -2152,21 +2153,34 @@ impl<'a> Engine<'a> {
 
     // ----- reporting --------------------------------------------------------
 
+    /// Adds this epoch's host-side counters to the telemetry registry: the
+    /// one place the engine records them. The queue and network count in
+    /// plain locals that [`Engine::new`] reset, so their counters are this
+    /// epoch's. The report never carries them: it must stay bit-identical
+    /// across fast-forward on/off and arena reuse.
+    fn flush_counters(&self) {
+        use stash_telemetry::metrics as m;
+        let q = self.q.counters();
+        m::QUEUE_PUSHED.add(q.scheduled);
+        m::QUEUE_POPPED.add(q.delivered);
+        m::QUEUE_CANCELLED.add(q.cancelled);
+        m::QUEUE_DEPTH_HIGH_WATER.record_max(q.depth_high_water);
+        let n = self.net.counters();
+        m::SOLVER_FULL_RECOMPUTES.add(n.full_recomputes);
+        m::SOLVER_SHORTCUT_EVENTS.add(n.shortcut_events);
+        m::SOLVER_ROUNDS.add(n.solver_rounds);
+        m::FLOWS_ACTIVE_HIGH_WATER.record_max(n.flows_active_high_water);
+        m::FLOW_SLOTS_HIGH_WATER.record_max(n.flow_slots_high_water);
+        // Fast-forward confirms at most once per epoch and always skips.
+        m::FF_CONFIRMATIONS.add(u64::from(self.ff_iterations > 0));
+        m::FF_ITERATIONS.add(self.ff_iterations);
+        m::ARENA_REUSE.add(u64::from(self.arena_reused));
+        m::FAULT_BRANCHES.add(self.fault_branches);
+        m::EPOCHS.inc();
+    }
+
     fn build_report(&mut self) -> EpochReport {
-        // Flush per-epoch diagnostics to the process-wide counters. The
-        // report itself never carries them: it must stay bit-identical
-        // across fast-forward on/off and arena reuse.
-        let (full, shortcut) = self.net.recompute_stats();
-        perf_stats::record_epoch(
-            full - self.net_stats0.0,
-            shortcut - self.net_stats0.1,
-            self.ff_iterations,
-            self.q.delivered_count(),
-        );
-        // The solver/queue registry metrics are recorded at their own
-        // hot-path sites; only epoch-scoped facts flush here.
-        stash_telemetry::metrics::FF_ITERATIONS.add(self.ff_iterations);
-        stash_telemetry::metrics::EPOCHS.inc();
+        self.flush_counters();
         let full_iters = self.cfg.epoch_iterations();
         let factor = full_iters as f64 / self.sim_iters as f64;
         let sim_end = self

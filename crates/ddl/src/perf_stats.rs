@@ -1,20 +1,15 @@
-//! Process-wide simulator performance counters.
+//! The simulator counters sweeps and benchmarks read, as a view of the
+//! telemetry registry.
 //!
-//! The engine flushes per-epoch diagnostics here instead of into
-//! [`crate::report::EpochReport`], so the report stays bit-identical across
-//! pure performance features (fast-forward on/off, arena reuse, parallel
-//! execution) while sweeps can still surface solver and fast-forward
-//! activity in their Prometheus output.
-//!
-//! Counters are monotonic atomics; callers take [`snapshot`] deltas around
-//! the work they want to attribute.
+//! The engine flushes its per-epoch diagnostics into the registry
+//! ([`stash_telemetry::metrics`]) instead of into
+//! [`crate::report::EpochReport`], so the report stays bit-identical
+//! across pure performance features (fast-forward on/off, arena reuse,
+//! parallel execution). This module keeps no state of its own: a
+//! [`snapshot`] reads four registry counters, and callers take deltas
+//! around the work they want to attribute.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static FULL_RECOMPUTES: AtomicU64 = AtomicU64::new(0);
-static SHORTCUT_EVENTS: AtomicU64 = AtomicU64::new(0);
-static FAST_FORWARDED_ITERATIONS: AtomicU64 = AtomicU64::new(0);
-static SIM_EVENTS: AtomicU64 = AtomicU64::new(0);
+use stash_telemetry::metrics;
 
 /// Point-in-time reading of the process-wide simulator counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,42 +26,30 @@ pub struct PerfSnapshot {
 }
 
 impl PerfSnapshot {
-    /// Counter increments between `earlier` and `self`.
+    /// Counter increments between `earlier` and `self`, saturating at
+    /// zero (a registry reset in between reads as no activity).
     #[must_use]
     pub fn since(&self, earlier: &PerfSnapshot) -> PerfSnapshot {
         PerfSnapshot {
-            full_recomputes: self.full_recomputes - earlier.full_recomputes,
-            shortcut_events: self.shortcut_events - earlier.shortcut_events,
-            fast_forwarded_iterations: self.fast_forwarded_iterations
-                - earlier.fast_forwarded_iterations,
-            sim_events: self.sim_events - earlier.sim_events,
+            full_recomputes: self.full_recomputes.saturating_sub(earlier.full_recomputes),
+            shortcut_events: self.shortcut_events.saturating_sub(earlier.shortcut_events),
+            fast_forwarded_iterations: self
+                .fast_forwarded_iterations
+                .saturating_sub(earlier.fast_forwarded_iterations),
+            sim_events: self.sim_events.saturating_sub(earlier.sim_events),
         }
     }
 }
 
-/// Reads the current counter values.
+/// Reads the current registry values.
 #[must_use]
 pub fn snapshot() -> PerfSnapshot {
     PerfSnapshot {
-        full_recomputes: FULL_RECOMPUTES.load(Ordering::Relaxed),
-        shortcut_events: SHORTCUT_EVENTS.load(Ordering::Relaxed),
-        fast_forwarded_iterations: FAST_FORWARDED_ITERATIONS.load(Ordering::Relaxed),
-        sim_events: SIM_EVENTS.load(Ordering::Relaxed),
+        full_recomputes: metrics::SOLVER_FULL_RECOMPUTES.get(),
+        shortcut_events: metrics::SOLVER_SHORTCUT_EVENTS.get(),
+        fast_forwarded_iterations: metrics::FF_ITERATIONS.get(),
+        sim_events: metrics::QUEUE_POPPED.get(),
     }
-}
-
-/// Flushes one epoch's worth of counters (called by the engine at report
-/// time).
-pub(crate) fn record_epoch(
-    full_recomputes: u64,
-    shortcut_events: u64,
-    fast_forwarded_iterations: u64,
-    sim_events: u64,
-) {
-    FULL_RECOMPUTES.fetch_add(full_recomputes, Ordering::Relaxed);
-    SHORTCUT_EVENTS.fetch_add(shortcut_events, Ordering::Relaxed);
-    FAST_FORWARDED_ITERATIONS.fetch_add(fast_forwarded_iterations, Ordering::Relaxed);
-    SIM_EVENTS.fetch_add(sim_events, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -74,13 +57,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_deltas_accumulate() {
+    fn snapshot_reads_the_registry_and_deltas_saturate() {
         let before = snapshot();
-        record_epoch(2, 3, 5, 7);
+        metrics::SOLVER_FULL_RECOMPUTES.add(2);
+        metrics::SOLVER_SHORTCUT_EVENTS.add(3);
+        metrics::FF_ITERATIONS.add(5);
+        metrics::QUEUE_POPPED.add(7);
         let delta = snapshot().since(&before);
         assert!(delta.full_recomputes >= 2);
         assert!(delta.shortcut_events >= 3);
         assert!(delta.fast_forwarded_iterations >= 5);
         assert!(delta.sim_events >= 7);
+        assert_eq!(before.since(&snapshot()), PerfSnapshot::default());
     }
 }

@@ -26,6 +26,8 @@ pub struct MaxMinScratch {
     remaining_cap: Vec<f64>,
     frozen: Vec<bool>,
     users: Vec<usize>,
+    /// Freeze rounds of the most recent solve.
+    last_rounds: u64,
 }
 
 impl MaxMinScratch {
@@ -70,6 +72,12 @@ impl MaxMinScratch {
         })
     }
 
+    /// Water-filling freeze rounds the most recent solve took.
+    #[must_use]
+    pub fn last_rounds(&self) -> u64 {
+        self.last_rounds
+    }
+
     fn solve_with<'r>(
         &mut self,
         capacities: &[f64],
@@ -80,6 +88,7 @@ impl MaxMinScratch {
         self.rate.clear();
         self.rate.resize(n_flows, 0.0);
         if n_flows == 0 {
+            self.last_rounds = 0;
             return &self.rate;
         }
         for f in 0..n_flows {
@@ -150,7 +159,7 @@ impl MaxMinScratch {
                 break;
             }
         }
-        stash_telemetry::metrics::SOLVER_ROUNDS.add(rounds);
+        self.last_rounds = rounds;
         &self.rate
     }
 }

@@ -31,6 +31,24 @@ use stash_trace::{Category, SharedTracer, Track};
 use crate::fairness::{max_min_rates, MaxMinScratch};
 use crate::link::{Link, LinkClass, LinkId};
 
+/// Lifetime counters of one [`FlowNet`] (since construction or
+/// [`FlowNet::reset`]). The network only counts; the engine flushes these
+/// into the telemetry registry once per epoch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetCounters {
+    /// Full water-filling solves.
+    pub full_recomputes: u64,
+    /// State changes settled without a full solve.
+    pub shortcut_events: u64,
+    /// Water-filling freeze rounds summed over the full solves.
+    pub solver_rounds: u64,
+    /// Most flows active at once.
+    pub flows_active_high_water: u64,
+    /// Flow slab slots allocated. The slab never shrinks, not even on
+    /// [`FlowNet::reset`], so this is the occupancy ceiling so far.
+    pub flow_slots_high_water: u64,
+}
+
 /// Sentinel for "no slot" in the intrusive creation-order list.
 const NIL: u32 = u32::MAX;
 
@@ -181,10 +199,8 @@ pub struct FlowNet {
     /// entry of `active_ids`).
     routes_flat: Vec<usize>,
     routes_spans: Vec<(u32, u32)>,
-    /// Full water-filling solves performed (diagnostics).
-    full_recomputes: u64,
-    /// State changes settled without a full solve (diagnostics).
-    shortcut_events: u64,
+    /// Diagnostics; `flow_slots_high_water` is filled in on read.
+    counters: NetCounters,
     /// Optional load probe: while set, every utilisation re-anchor of this
     /// link appends a `(time, load/cap)` sample — the exact set-sequence of
     /// its time-weighted integral, replayable by the engine's steady-state
@@ -222,8 +238,7 @@ impl Default for FlowNet {
             freed_buf: Vec::new(),
             routes_flat: Vec::new(),
             routes_spans: Vec::new(),
-            full_recomputes: 0,
-            shortcut_events: 0,
+            counters: NetCounters::default(),
             probe_link: None,
             probe_buf: Vec::new(),
             tracer: None,
@@ -273,8 +288,7 @@ impl FlowNet {
         self.freed_buf.clear();
         self.routes_flat.clear();
         self.routes_spans.clear();
-        self.full_recomputes = 0;
-        self.shortcut_events = 0;
+        self.counters = NetCounters::default();
         self.probe_link = None;
         self.probe_buf.clear();
         self.tracer = None;
@@ -324,8 +338,8 @@ impl FlowNet {
         }
         self.tail = idx;
         self.n_active += 1;
-        stash_telemetry::metrics::FLOWS_ACTIVE_HIGH_WATER.record_max(self.n_active as u64);
-        stash_telemetry::metrics::FLOW_SLOTS_HIGH_WATER.record_max(self.slots.len() as u64);
+        let hw = &mut self.counters.flows_active_high_water;
+        *hw = (*hw).max(self.n_active as u64);
         idx
     }
 
@@ -531,8 +545,7 @@ impl FlowNet {
                 // would give it min-capacity of its links and leave the
                 // rest untouched, so assign that directly.
                 self.settle_alone_flow(idx);
-                self.shortcut_events += 1;
-                stash_telemetry::metrics::SOLVER_SHORTCUT_EVENTS.inc();
+                self.counters.shortcut_events += 1;
                 self.touch_loads();
             } else {
                 self.recompute_rates();
@@ -541,8 +554,7 @@ impl FlowNet {
             // Latency-phase flows are invisible to the allocator: rates
             // are unchanged, only the load integrals get their segment
             // boundary.
-            self.shortcut_events += 1;
-            stash_telemetry::metrics::SOLVER_SHORTCUT_EVENTS.inc();
+            self.counters.shortcut_events += 1;
             self.touch_loads();
         }
         self.collect_done();
@@ -574,14 +586,12 @@ impl FlowNet {
                     self.link_rate_load[l] = 0.0;
                 }
                 self.release_slot(idx);
-                self.shortcut_events += 1;
-                stash_telemetry::metrics::SOLVER_SHORTCUT_EVENTS.inc();
+                self.counters.shortcut_events += 1;
                 self.touch_loads();
             }
         } else {
             self.release_slot(idx);
-            self.shortcut_events += 1;
-            stash_telemetry::metrics::SOLVER_SHORTCUT_EVENTS.inc();
+            self.counters.shortcut_events += 1;
             self.touch_loads();
         }
         true
@@ -742,11 +752,14 @@ impl FlowNet {
         max_min_rates(&caps, &idx_routes)
     }
 
-    /// Number of full water-filling solves and of events settled by the
-    /// incremental shortcuts instead, since construction.
+    /// Lifetime solver and occupancy counters. Hypothetical solves
+    /// ([`FlowNet::probe_rates`]) are not counted.
     #[must_use]
-    pub fn recompute_stats(&self) -> (u64, u64) {
-        (self.full_recomputes, self.shortcut_events)
+    pub fn counters(&self) -> NetCounters {
+        NetCounters {
+            flow_slots_high_water: self.slots.len() as u64,
+            ..self.counters
+        }
     }
 
     /// Starts recording `(time, load/cap)` samples for `link`: every
@@ -840,8 +853,7 @@ impl FlowNet {
     }
 
     fn recompute_rates(&mut self) {
-        self.full_recomputes += 1;
-        stash_telemetry::metrics::SOLVER_FULL_RECOMPUTES.inc();
+        self.counters.full_recomputes += 1;
         self.active_ids.clear();
         let mut i = self.head;
         while i != NIL {
@@ -893,6 +905,7 @@ impl FlowNet {
         for (k, &idx) in self.active_ids.iter().enumerate() {
             self.slots[idx as usize].rate = rates[k];
         }
+        self.counters.solver_rounds += self.scratch.last_rounds();
         // Refresh per-link load sums and integrals.
         self.link_rate_load.iter_mut().for_each(|v| *v = 0.0);
         let mut i = self.head;
@@ -1013,8 +1026,7 @@ impl FlowNet {
             }
             self.activated_buf = activated;
             self.activated_buf.clear();
-            self.shortcut_events += 1;
-            stash_telemetry::metrics::SOLVER_SHORTCUT_EVENTS.inc();
+            self.counters.shortcut_events += 1;
             self.touch_loads();
         }
         any
@@ -1258,6 +1270,7 @@ mod tests {
                 log,
                 net.link_utilization(l).to_bits(),
                 net.delivered_bytes(),
+                net.counters(),
             )
         };
         let mut fresh = FlowNet::new();
@@ -1267,6 +1280,7 @@ mod tests {
         reused.reset();
         assert_eq!(reused.active_flows(), 0);
         assert_eq!(reused.link_count(), 0);
+        assert_eq!(reused.counters().full_recomputes, 0);
         assert_eq!(run(&mut reused), want, "reset run must match fresh run");
     }
 
@@ -1344,9 +1358,21 @@ mod tests {
             assert!(steps < 32, "scenario failed to converge");
         }
         assert_eq!(net.active_flows(), 0);
-        let (full, shortcut) = net.recompute_stats();
-        assert!(full > 0, "shared links must trigger full solves");
-        assert!(shortcut > 0, "disjoint events must take the shortcut");
+        let c = net.counters();
+        assert!(
+            c.full_recomputes > 0,
+            "shared links must trigger full solves"
+        );
+        assert!(
+            c.shortcut_events > 0,
+            "disjoint events must take the shortcut"
+        );
+        assert!(
+            c.solver_rounds >= c.full_recomputes,
+            "every solve takes a round"
+        );
+        assert!(c.flows_active_high_water >= 2);
+        assert!(c.flow_slots_high_water >= c.flows_active_high_water);
     }
 
     #[test]
@@ -1365,9 +1391,17 @@ mod tests {
             net.take_completed();
         }
         assert_eq!(net.active_flows(), 0);
-        let (full, shortcut) = net.recompute_stats();
-        assert_eq!(full, 0, "uncontended traffic must skip the solver");
-        assert!(shortcut >= 6, "starts and completions all shortcut");
+        let c = net.counters();
+        assert_eq!(
+            c.full_recomputes, 0,
+            "uncontended traffic must skip the solver"
+        );
+        assert_eq!(c.solver_rounds, 0);
+        assert!(
+            c.shortcut_events >= 6,
+            "starts and completions all shortcut"
+        );
+        assert_eq!(c.flows_active_high_water, 3);
         // Utilisation bookkeeping must survive the shortcut path: link 0
         // was saturated for 1 s of the 4 s total (100 B at 100 B/s; the
         // slowest link finishes at 4 s).
@@ -1390,8 +1424,11 @@ mod tests {
         assert!((t2.as_secs_f64() - 1.25).abs() < 1e-6);
         net.advance(t2);
         assert_eq!(net.take_completed().len(), 1);
-        let (full, _) = net.recompute_stats();
-        assert_eq!(full, 0, "an activation onto idle links needs no solve");
+        assert_eq!(
+            net.counters().full_recomputes,
+            0,
+            "an activation onto idle links needs no solve"
+        );
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod time;
 /// Convenient glob-import of the most used items.
 pub mod prelude {
     pub use crate::histogram::LogHistogram;
-    pub use crate::queue::{EventKey, EventQueue};
+    pub use crate::queue::{EventKey, EventQueue, QueueCounters};
     pub use crate::rng::DetRng;
     pub use crate::stats::{Counter, Summary, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};

@@ -54,6 +54,21 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// Lifetime counters of one [`EventQueue`] (since construction or
+/// [`EventQueue::reset`]). The queue only counts; the engine flushes these
+/// into the telemetry registry once per epoch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueCounters {
+    /// Events scheduled.
+    pub scheduled: u64,
+    /// Events delivered (popped live).
+    pub delivered: u64,
+    /// Events cancelled while still pending.
+    pub cancelled: u64,
+    /// Deepest the queue has been (live events).
+    pub depth_high_water: u64,
+}
+
 /// A deterministic time-ordered event queue.
 ///
 /// The queue also tracks the current simulation clock: popping an event
@@ -84,8 +99,9 @@ pub struct EventQueue<E> {
     live: usize,
     /// Deepest `live` has been since the last [`EventQueue::take_depth_high_water`].
     window_hw: usize,
-    scheduled: u64,
-    delivered: u64,
+    /// Counters; `counters.depth_high_water` covers closed windows only
+    /// (see [`EventQueue::counters`]).
+    counters: QueueCounters,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -106,8 +122,7 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             live: 0,
             window_hw: 0,
-            scheduled: 0,
-            delivered: 0,
+            counters: QueueCounters::default(),
         }
     }
 
@@ -132,11 +147,9 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
+        self.counters.scheduled += 1;
         self.live += 1;
         self.window_hw = self.window_hw.max(self.live);
-        stash_telemetry::metrics::QUEUE_PUSHED.inc();
-        stash_telemetry::metrics::QUEUE_DEPTH_HIGH_WATER.record_max(self.live as u64);
         let idx = match self.free.pop() {
             Some(idx) => idx,
             None => {
@@ -175,7 +188,7 @@ impl<E> EventQueue<E> {
                 *gen = gen.wrapping_add(1);
                 self.free.push(key.idx);
                 self.live -= 1;
-                stash_telemetry::metrics::QUEUE_CANCELLED.inc();
+                self.counters.cancelled += 1;
                 true
             }
             _ => false,
@@ -195,8 +208,7 @@ impl<E> EventQueue<E> {
             self.live -= 1;
             debug_assert!(entry.at >= self.now);
             self.now = entry.at;
-            self.delivered += 1;
-            stash_telemetry::metrics::QUEUE_POPPED.inc();
+            self.counters.delivered += 1;
             return Some((entry.at, entry.payload));
         }
         None
@@ -234,20 +246,19 @@ impl<E> EventQueue<E> {
     /// per simulated iteration) without scanning the queue.
     pub fn take_depth_high_water(&mut self) -> u64 {
         let hw = self.window_hw as u64;
+        self.counters.depth_high_water = self.counters.depth_high_water.max(hw);
         self.window_hw = self.live;
         hw
     }
 
-    /// Total events scheduled over the queue's lifetime.
+    /// Lifetime counters. The depth high water spans every window, so
+    /// [`EventQueue::take_depth_high_water`] does not reset it.
     #[must_use]
-    pub fn scheduled_count(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// Total events delivered over the queue's lifetime.
-    #[must_use]
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered
+    pub fn counters(&self) -> QueueCounters {
+        QueueCounters {
+            depth_high_water: self.counters.depth_high_water.max(self.window_hw as u64),
+            ..self.counters
+        }
     }
 
     /// Returns the queue to its freshly-constructed state while keeping the
@@ -261,8 +272,7 @@ impl<E> EventQueue<E> {
         self.next_seq = 0;
         self.live = 0;
         self.window_hw = 0;
-        self.scheduled = 0;
-        self.delivered = 0;
+        self.counters = QueueCounters::default();
     }
 }
 
@@ -317,10 +327,18 @@ mod tests {
     fn counts_track_lifecycle() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_nanos(1), ());
-        q.schedule_at(SimTime::from_nanos(2), ());
+        let k = q.schedule_at(SimTime::from_nanos(2), ());
+        q.schedule_at(SimTime::from_nanos(3), ());
         q.pop();
-        assert_eq!(q.scheduled_count(), 2);
-        assert_eq!(q.delivered_count(), 1);
+        assert!(q.cancel(k));
+        assert!(!q.cancel(k), "a failed cancel is not counted");
+        assert_eq!(q.take_depth_high_water(), 3);
+        let c = q.counters();
+        assert_eq!((c.scheduled, c.delivered, c.cancelled), (3, 1, 1));
+        assert_eq!(
+            c.depth_high_water, 3,
+            "window reset keeps the lifetime mark"
+        );
         assert_eq!(q.len(), 1);
     }
 
@@ -349,8 +367,7 @@ mod tests {
         q.pop();
         q.reset();
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.scheduled_count(), 0);
-        assert_eq!(q.delivered_count(), 0);
+        assert_eq!(q.counters(), QueueCounters::default());
         assert!(q.is_empty());
         q.schedule_at(SimTime::from_nanos(1), 2);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 2)));

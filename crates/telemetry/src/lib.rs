@@ -10,13 +10,19 @@
 //!   from [`std::sync::atomic::AtomicU64`]s; recording is a relaxed
 //!   fetch-add (or fetch-max for high-water gauges). No mutex, no map
 //!   lookup, no registration.
+//! * **One counter mechanism.** Simulation components (event queue, flow
+//!   network, engine) count in plain `u64` locals; the engine flushes
+//!   them into the registry once per epoch. Counters and gauges are
+//!   therefore always recorded, at a dozen relaxed adds per epoch.
 //! * **Zero steady-state allocation.** The registry is a fixed schema of
 //!   statics ([`metrics`]); nothing allocates until a snapshot is taken.
 //!   `tests/telemetry_alloc.rs` proves this with a counting allocator.
-//! * **Disabled means free.** A single process-wide [`AtomicBool`] gates
-//!   every record call; when disabled (the default) a record is one
-//!   relaxed load and a predictable branch. The zoo-wide differential
-//!   test proves `EpochReport`s are bit-identical either way.
+//! * **Per-sample costs are switched.** A single process-wide
+//!   [`AtomicBool`] gates what costs per sample: histogram records (and
+//!   the solver-latency clock reads feeding them) and the iteration
+//!   series. The flight recorder has its own arm flag. The zoo-wide
+//!   differential test proves `EpochReport`s are bit-identical either
+//!   way.
 //! * **Deterministic snapshots.** [`snapshot::Snapshot::take`] walks the
 //!   schema arrays in declaration order, so JSON and Prometheus dumps
 //!   are byte-stable for a given set of recorded values.
@@ -41,21 +47,21 @@ pub mod registry;
 pub mod series;
 pub mod snapshot;
 
-/// Process-wide recording switch. Off by default: a disabled record call
-/// is one relaxed load.
+/// Process-wide switch for per-sample recording (histograms, series).
+/// Off by default: a disabled histogram record is one relaxed load.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Turns metric recording on.
+/// Turns per-sample recording on.
 pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turns metric recording off (the default).
+/// Turns per-sample recording off (the default).
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Whether recording is currently on.
+/// Whether per-sample recording is currently on.
 #[inline(always)]
 #[must_use]
 pub fn enabled() -> bool {

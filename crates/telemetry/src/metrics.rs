@@ -12,6 +12,11 @@
 //! `cache` (profiler measurement cache), `profile` (per-step profiling),
 //! or `data` (input pipeline). Histograms record integer nanoseconds and
 //! carry an `_ns` suffix.
+//!
+//! The `sim` counters and gauges have one recording path: the event
+//! queue and the flow network count in plain locals, and the engine adds
+//! them here once per epoch. Nothing in simkit or flowsim touches these
+//! statics except the solver-latency histogram.
 
 use crate::registry::{Counter, Gauge, Histogram};
 
@@ -33,7 +38,7 @@ pub static QUEUE_DEPTH_HIGH_WATER: Gauge = Gauge::new();
 pub static SOLVER_FULL_RECOMPUTES: Counter = Counter::new();
 /// Flow events absorbed by the single-flow shortcut (no solve).
 pub static SOLVER_SHORTCUT_EVENTS: Counter = Counter::new();
-/// Water-filling freeze rounds summed over all solves.
+/// Water-filling freeze rounds summed over the engine's full solves.
 pub static SOLVER_ROUNDS: Counter = Counter::new();
 /// Host wall-clock latency of each full recompute, in nanoseconds.
 pub static SOLVER_RECOMPUTE_LATENCY_NS: Histogram = Histogram::new();

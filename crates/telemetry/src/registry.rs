@@ -2,10 +2,13 @@
 //!
 //! All three are plain `AtomicU64` aggregates with `const fn new`, so
 //! they can live in statics and record from any thread without locks or
-//! allocation. Every *gated* recording method ([`Counter::inc`],
-//! [`Gauge::record_max`], [`Histogram::record`]) first checks the
-//! process-wide [`crate::enabled`] switch; the `observe_*` variants
-//! bypass the switch for local (non-registry) instances in tests.
+//! allocation. Counters and gauges always record: the simulation
+//! components count in plain locals and the engine flushes them once per
+//! epoch, while the store and the measurement cache add once per
+//! operation, next to I/O or a lock that costs far more.
+//! [`Histogram::record`] is the per-sample path and first checks the
+//! process-wide [`crate::enabled`] switch; [`Histogram::observe`]
+//! bypasses it for local (non-registry) instances.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,18 +56,16 @@ impl Counter {
         }
     }
 
-    /// Adds one, if telemetry is enabled.
+    /// Adds one.
     #[inline(always)]
     pub fn inc(&self) {
         self.add(1);
     }
 
-    /// Adds `n`, if telemetry is enabled.
+    /// Adds `n`.
     #[inline(always)]
     pub fn add(&self, n: u64) {
-        if crate::enabled() {
-            self.val.fetch_add(n, Ordering::Relaxed);
-        }
+        self.val.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -100,13 +101,10 @@ impl Gauge {
         }
     }
 
-    /// Raises the high-water mark to `v` if larger, if telemetry is
-    /// enabled.
+    /// Raises the high-water mark to `v` if larger.
     #[inline(always)]
     pub fn record_max(&self, v: u64) {
-        if crate::enabled() {
-            self.val.fetch_max(v, Ordering::Relaxed);
-        }
+        self.val.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current high-water mark.

@@ -10,6 +10,11 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo build --release
 cargo test -q
+# Root `cargo test` runs only the facade package: also run every
+# workspace crate's unit tests, and those of the vendored JSON parser,
+# which sits outside the workspace.
+cargo test -q --workspace
+cargo test -q --manifest-path vendor/serde_json/Cargo.toml
 # The benchmark crate sits outside the workspace, so the build above never
 # compiles it; check it here so an API change it depends on fails tier-1.
 cargo check --offline --manifest-path stashbench/Cargo.toml

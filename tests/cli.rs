@@ -275,6 +275,63 @@ fn diff_rejects_corrupted_json_without_panicking() {
 }
 
 #[test]
+fn hostile_json_nesting_is_a_typed_error_on_every_loader() {
+    // 200 KB of `[` used to recurse the parser off the end of the stack
+    // and abort the process (exit 134) before any typed error ran.
+    let dir = std::env::temp_dir().join("stash_cli_deep_json_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let series_dir = dir.join("series");
+    std::fs::create_dir_all(&series_dir).unwrap();
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let series = series_dir.join("series_deep.json");
+    std::fs::copy(&deep, &series).unwrap();
+    let (deep_s, series_s) = (deep.to_str().unwrap(), series.to_str().unwrap());
+    let csv = dir.join("sweep.csv");
+    let html = dir.join("dash.html");
+    for (args, named) in [
+        (vec!["diff", deep_s, deep_s], deep_s),
+        (
+            vec!["chaos", "p3.2xlarge", "shufflenet", "--plan", deep_s],
+            deep_s,
+        ),
+        (
+            vec![
+                "dash",
+                series_dir.to_str().unwrap(),
+                "--out",
+                html.to_str().unwrap(),
+            ],
+            series_s,
+        ),
+        (
+            vec![
+                "sweep",
+                "--models",
+                "AlexNet",
+                "--clusters",
+                "p3.2xlarge",
+                "--io-fault-plan",
+                deep_s,
+                "--out",
+                csv.to_str().unwrap(),
+            ],
+            deep_s,
+        ),
+    ] {
+        let out = stash(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(named),
+            "{args:?} must name {named}: {stderr}"
+        );
+        assert!(stderr.contains("nesting deeper"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn diff_rejects_store_dirs_and_binary_records_with_typed_errors() {
     let dir = std::env::temp_dir().join("stash_cli_diff_doctored_test");
     let _ = std::fs::remove_dir_all(&dir);

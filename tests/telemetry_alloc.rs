@@ -1,8 +1,10 @@
 //! The telemetry cost model, proven with a counting allocator:
 //!
-//! 1. a *disabled* record call never allocates (it is one relaxed load);
-//! 2. an *enabled* record call never allocates either (atomics only —
-//!    allocation happens exclusively at snapshot time);
+//! 1. with the switch *off* a record call never allocates (counters and
+//!    gauges are always recorded as relaxed atomics; a histogram record
+//!    is one relaxed load);
+//! 2. with the switch *on* a record call never allocates either (atomics
+//!    only — allocation happens exclusively at snapshot time);
 //! 3. the engine's steady-state zero-allocation guarantee (see
 //!    `tests/alloc_budget.rs`) survives with telemetry switched on.
 //!
