@@ -254,24 +254,22 @@ impl Drop for InFlight<'_> {
     }
 }
 
-/// Canonical cache key: FNV-1a (128-bit) over the config's canonical JSON.
+/// Canonical cache key: FNV-1a (128-bit) over the config's derived
+/// `Debug` rendering, streamed straight into the hash.
 ///
-/// Serialization is field-ordered and deterministic, so equal configs hash
-/// equal; 128 bits make accidental collisions between distinct configs
-/// negligible.
+/// The rendering names every field of every nested type in declaration
+/// order (no config type holds a hash map or a hand-written `Debug`), so
+/// equal configs hash equal and distinct configs render distinctly; 128
+/// bits make accidental collisions negligible. Keys live only in memory.
+/// Streaming allocates nothing; a JSON value tree of a ResNet-50 config
+/// takes ≈0.2 MB, once per measurement step on whichever thread runs it.
 #[must_use]
 pub fn config_key(cfg: &TrainConfig) -> u128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
-    let Ok(canonical) = serde_json::to_string(&cfg.to_json_value()) else {
-        unreachable!("TrainConfig serialization is infallible")
+    let mut h = stash_store::Fnv128::new();
+    let Ok(()) = std::fmt::Write::write_fmt(&mut h, format_args!("{cfg:?}")) else {
+        unreachable!("hashing never fails")
     };
-    let mut h = OFFSET;
-    for b in canonical.bytes() {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

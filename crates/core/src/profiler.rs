@@ -77,7 +77,7 @@ pub fn profile_threads() -> usize {
 /// ```
 #[derive(Debug, Clone, Serialize)]
 pub struct Stash {
-    model: Model,
+    pub(crate) model: Model,
     dataset: DatasetSpec,
     per_gpu_batch: u64,
     epoch_samples: Option<u64>,
@@ -233,40 +233,56 @@ impl Stash {
             })
     }
 
-    /// Builds the configs for measurement steps 1-4 (and 5 for multi-node
-    /// clusters), in step order.
-    fn step_configs(&self, cluster: &ClusterSpec, reference: &InstanceType) -> Vec<TrainConfig> {
+    /// Measurement steps 1-4, plus step 5 for multi-node clusters.
+    fn step_count(cluster: &ClusterSpec) -> usize {
+        if cluster.node_count() > 1 {
+            5
+        } else {
+            4
+        }
+    }
+
+    /// Builds the config of measurement step `step + 1`. The serial
+    /// paths build one step at a time, so a profile holds one copy of the
+    /// model rather than five.
+    fn step_config(
+        &self,
+        cluster: &ClusterSpec,
+        reference: &InstanceType,
+        step: usize,
+    ) -> TrainConfig {
         let world = cluster.world_size();
         let samples_per_gpu = (self.epoch_samples() / world as u64).max(self.per_gpu_batch);
-        let ref_cluster = ClusterSpec::single(reference.clone());
-
-        // Step 1: one GPU, synthetic, n/k samples.
-        let mut step1 = self.base_config(ref_cluster.clone(), samples_per_gpu);
-        step1.active = ActiveGpus::Single;
-
-        // Step 2: all k GPUs of the reference instance, synthetic.
-        let step2 = self.base_config(ref_cluster, samples_per_gpu);
-
-        // Step 3: real data, cold caches, on the cluster under test.
-        let mut step3 = self.base_config(cluster.clone(), samples_per_gpu);
-        step3.data = DataMode::Real {
-            dataset: self.dataset.clone(),
-            cache: CacheState::Cold,
+        // Steps 1 and 2 run on the reference instance, steps 3-5 on the
+        // cluster under test.
+        let target = if step < 2 {
+            ClusterSpec::single(reference.clone())
+        } else {
+            cluster.clone()
         };
-
-        // Step 4: real data, warm caches.
-        let mut step4 = self.base_config(cluster.clone(), samples_per_gpu);
-        step4.data = DataMode::Real {
-            dataset: self.dataset.clone(),
-            cache: CacheState::Warm,
-        };
-
-        let mut configs = vec![step1, step2, step3, step4];
-        // Step 5: synthetic across the network (multi-node only).
-        if cluster.node_count() > 1 {
-            configs.push(self.base_config(cluster.clone(), samples_per_gpu));
+        let mut cfg = self.base_config(target, samples_per_gpu);
+        match step {
+            // Step 1: one GPU, synthetic, n/k samples.
+            0 => cfg.active = ActiveGpus::Single,
+            // Step 3: real data, cold caches.
+            2 => {
+                cfg.data = DataMode::Real {
+                    dataset: self.dataset.clone(),
+                    cache: CacheState::Cold,
+                }
+            }
+            // Step 4: real data, warm caches.
+            3 => {
+                cfg.data = DataMode::Real {
+                    dataset: self.dataset.clone(),
+                    cache: CacheState::Warm,
+                }
+            }
+            // Step 2: all k reference GPUs, synthetic. Step 5 (multi-node
+            // only): synthetic across the network.
+            _ => {}
         }
-        configs
+        cfg
     }
 
     /// Runs the full Stash methodology against `cluster`, with the five
@@ -333,7 +349,9 @@ impl Stash {
             }
             ExecMode::Parallel => {
                 let reference = Self::reference_for(cluster)?;
-                let configs = self.step_configs(cluster, &reference);
+                let configs: Vec<TrainConfig> = (0..Self::step_count(cluster))
+                    .map(|step| self.step_config(cluster, &reference, step))
+                    .collect();
                 let results: Vec<Result<SimDuration, ProfileError>> = std::thread::scope(|scope| {
                     let handles: Vec<_> = configs
                         .iter()
@@ -379,10 +397,11 @@ impl Stash {
         arena: &mut EngineArena,
     ) -> Result<StallReport, ProfileError> {
         let reference = Self::reference_for(cluster)?;
-        let configs = self.step_configs(cluster, &reference);
-        let mut times: Vec<SimDuration> = Vec::with_capacity(configs.len());
-        for cfg in &configs {
-            times.push(measure_in(cache, cfg, arena)?);
+        let steps = Self::step_count(cluster);
+        let mut times: Vec<SimDuration> = Vec::with_capacity(steps);
+        for step in 0..steps {
+            let cfg = self.step_config(cluster, &reference, step);
+            times.push(measure_in(cache, &cfg, arena)?);
         }
         Ok(self.assemble_report(cluster, reference, &times))
     }
@@ -430,13 +449,14 @@ impl Stash {
     ) -> Result<StallReport, ProfileError> {
         const STEP_NAMES: [&str; 5] = ["t1", "t2", "t3", "t4", "t5"];
         let reference = Self::reference_for(cluster)?;
-        let configs = self.step_configs(cluster, &reference);
+        let steps = Self::step_count(cluster);
         let prior_process = tracer.borrow().process();
 
-        let mut times: Vec<SimDuration> = Vec::with_capacity(configs.len());
-        for (step, cfg) in configs.iter().enumerate() {
+        let mut times: Vec<SimDuration> = Vec::with_capacity(steps);
+        for (step, name) in STEP_NAMES.iter().enumerate().take(steps) {
+            let cfg = self.step_config(cluster, &reference, step);
             tracer.borrow_mut().set_process(step as u32 + 1);
-            let result = run_epoch_traced(cfg, tracer);
+            let result = run_epoch_traced(&cfg, tracer);
             let report = match result {
                 Ok(r) => r,
                 Err(e) => {
@@ -447,28 +467,14 @@ impl Stash {
             tracer.borrow_mut().span(
                 Track::profiler(step),
                 Category::Solver,
-                STEP_NAMES[step],
+                name,
                 SimTime::ZERO,
                 SimTime::ZERO + report.epoch_time,
             );
             times.push(report.epoch_time);
         }
         tracer.borrow_mut().set_process(prior_process);
-
-        Ok(StallReport {
-            cluster: cluster.display_name(),
-            reference: reference.name,
-            model: self.model.name.clone(),
-            per_gpu_batch: self.per_gpu_batch,
-            world: cluster.world_size(),
-            times: StepTimes {
-                t1: Some(times[0]),
-                t2: Some(times[1]),
-                t3: Some(times[2]),
-                t4: Some(times[3]),
-                t5: times.get(4).copied(),
-            },
-        })
+        Ok(self.assemble_report(cluster, reference, &times))
     }
 }
 
@@ -520,48 +526,90 @@ pub struct ProfileJob {
 /// reference-instance steps of multi-node points).
 ///
 /// Results are bit-identical to profiling the jobs one by one: jobs are
-/// independent, the engine is deterministic, and each result lands in its
-/// job's slot regardless of completion order.
+/// independent, the engine is deterministic, and results are handed back
+/// in job order regardless of completion order.
 pub fn par_profile_many(
     jobs: &[ProfileJob],
     cache: Option<&MeasurementCache>,
 ) -> Vec<Result<StallReport, ProfileError>> {
+    let jobs: Vec<&ProfileJob> = jobs.iter().collect();
+    let mut out = Vec::with_capacity(jobs.len());
+    profile_in_order(&jobs, cache, profile_threads(), |_, result| {
+        out.push(result)
+    });
+    out
+}
+
+/// The in-order parallel cell executor behind [`par_profile_many`] and
+/// the durable sweep runner.
+///
+/// `workers` threads claim jobs from a shared counter in input order,
+/// each simulating inside its own [`EngineArena`]: the calling thread
+/// plus `workers - 1` scoped threads. The caller works too because every
+/// extra thread costs resident memory, its own allocator heap above all
+/// (≈0.4 MiB per extra thread on the 24-cell durable sweep grid, glibc on
+/// x86-64); so one worker runs inline with no thread, and no jobs spawn
+/// nothing. Scoped workers send their results
+/// back over a channel; a reorder buffer on the calling thread hands
+/// every result to `deliver(index, result)` in ascending index order,
+/// draining the channel after each of its own jobs. Only finished
+/// [`StallReport`]s wait in the buffer, each leaving it the moment it is
+/// delivered. A panicking job propagates its panic to the caller.
+pub(crate) fn profile_in_order(
+    jobs: &[&ProfileJob],
+    cache: Option<&MeasurementCache>,
+    workers: usize,
+    mut deliver: impl FnMut(usize, Result<StallReport, ProfileError>),
+) {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::mpsc;
 
-    let workers = profile_threads().min(jobs.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<StallReport, ProfileError>>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
-
+    // Claims the next job in input order and simulates it in `arena`.
+    let run_next = |arena: &mut EngineArena| {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let job = jobs.get(i)?;
+        Some((i, job.stash.profile_serial_in(&job.cluster, cache, arena)))
+    };
+    let workers = workers.max(1).min(jobs.len());
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // One arena per worker: every job this worker claims
-                // reuses the same simulator state (arenas are !Send, so
-                // they are built inside the thread).
+        let (tx, rx) = mpsc::channel();
+        for _ in 1..workers {
+            let tx = tx.clone();
+            scope.spawn(move || {
+                // Arenas are !Send, so each worker builds its own.
                 let mut arena = EngineArena::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    let result = job.stash.profile_serial_in(&job.cluster, cache, &mut arena);
-                    match slots[i].lock() {
-                        Ok(mut slot) => *slot = Some(result),
-                        Err(_) => panic!("result slot poisoned"),
+                while let Some(done) = run_next(&mut arena) {
+                    // A closed channel means the caller is unwinding.
+                    if tx.send(done).is_err() {
+                        break;
                     }
                 }
             });
         }
-    });
+        drop(tx);
 
-    slots
-        .into_iter()
-        .map(|slot| match slot.into_inner() {
-            Ok(Some(result)) => result,
-            Ok(None) => panic!("worker skipped a job"),
-            Err(_) => panic!("result slot poisoned"),
-        })
-        .collect()
+        let mut buffered: Vec<Option<Result<StallReport, ProfileError>>> =
+            jobs.iter().map(|_| None).collect();
+        let mut due = 0;
+        let mut accept = |i: usize, result| {
+            buffered[i] = Some(result);
+            while let Some(result) = buffered.get_mut(due).and_then(Option::take) {
+                deliver(due, result);
+                due += 1;
+            }
+        };
+        let mut arena = EngineArena::new();
+        while let Some((i, result)) = run_next(&mut arena) {
+            accept(i, result);
+            for (i, result) in rx.try_iter() {
+                accept(i, result);
+            }
+        }
+        for (i, result) in rx {
+            accept(i, result);
+        }
+    });
 }
 
 /// The prior-work DS-Analyzer profiler: steps 2-4 only — it measures prep
@@ -774,6 +822,41 @@ mod tests {
             let want = job.stash.profile_serial(&job.cluster).unwrap();
             assert_eq!(got.as_ref().unwrap(), &want);
         }
+    }
+
+    #[test]
+    fn executor_results_do_not_depend_on_worker_count() {
+        let clusters = [
+            ClusterSpec::single(p3_2xlarge()),
+            ClusterSpec::homogeneous(p3_8xlarge(), 2),
+            // 24 GPUs: no reference instance, so this job errors.
+            ClusterSpec::homogeneous(p3_16xlarge(), 3),
+            ClusterSpec::single(p3_16xlarge()),
+        ];
+        let jobs: Vec<ProfileJob> = clusters
+            .into_iter()
+            .map(|cluster| ProfileJob {
+                stash: quick(zoo::alexnet()),
+                cluster,
+            })
+            .collect();
+        let refs: Vec<&ProfileJob> = jobs.iter().collect();
+        let run = |workers| {
+            let cache = crate::cache::MeasurementCache::new();
+            let mut out = Vec::new();
+            profile_in_order(&refs, Some(&cache), workers, |i, result| {
+                assert_eq!(i, out.len(), "delivered out of order");
+                out.push(result);
+            });
+            (out, cache.stats())
+        };
+        let (one, one_stats) = run(1);
+        let (four, four_stats) = run(4);
+        assert_eq!(one, four);
+        assert_eq!(one_stats, four_stats, "single-flight cache counters");
+        assert!(matches!(one[2], Err(ProfileError::NoReference { .. })));
+        assert_eq!(one, par_profile_many(&jobs, None));
+        profile_in_order(&[], None, 4, |_, _| panic!("no jobs, no deliveries"));
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! Run against a [`ResultStore`], each cell is *consult-first*: a
 //! verified on-disk record is decoded and reused bit-identically
 //! ([`CellStatus::Resumed`]); a missing, quarantined or stale record is
-//! recomputed through the shared [`MeasurementCache`] and durably stored
-//! before the sweep moves on. Intent and progress go through the store's
-//! write-ahead journal: a `plan` line for every cell before any work
-//! starts, then `done`/`fail` per cell — so a sweep killed mid-write
+//! recomputed through the shared [`MeasurementCache`] on the parallel
+//! in-order executor and durably stored, in input order, on the calling
+//! thread. Intent and progress go through the store's write-ahead
+//! journal: a `plan` line for every cell before any work starts, then
+//! `done`/`fail` per cell as it commits — so a sweep killed mid-write
 //! resumes the *whole* grid (including cells it never reached) and
 //! re-runs only those whose records do not verify. The engine being
 //! deterministic, the resumed store converges to the same bytes an
-//! uninterrupted run produces.
+//! uninterrupted run produces, whatever the worker count.
 //!
 //! Failure is graceful by construction: store I/O goes through the retry
 //! policy, profile errors are permanent and typed, and a failed cell is
@@ -22,13 +23,13 @@
 use std::io;
 
 use serde::Serialize;
-use stash_ddl::engine::EngineArena;
 use stash_store::journal::JournalEntry;
 use stash_store::prelude::{with_retry, FailReason, Fetch, ResultStore, RetryPolicy};
-use stash_store::{fnv128, key_hex};
+use stash_store::{key_hex, Fnv128};
 
 use crate::cache::MeasurementCache;
-use crate::profiler::ProfileJob;
+use crate::error::ProfileError;
+use crate::profiler::{profile_in_order, profile_threads, ProfileJob};
 use crate::report::StallReport;
 
 /// Schema tag stamped into every cell record payload and journal plan.
@@ -212,8 +213,15 @@ pub fn cell_descriptor(job: &ProfileJob) -> serde_json::Value {
 /// *full* profiler configuration plus the cluster display name — the
 /// same derivation family as `cache::config_key`, so equal cells share a
 /// key and (the engine being deterministic) bit-identical records.
+///
+/// The model's layers are serialized and hashed one at a time, in the
+/// place the whole document holds them: the hashed bytes are the same,
+/// but no value tree of the whole model is built (≈0.2 MB for
+/// ResNet-50).
 #[must_use]
 pub fn cell_key(job: &ProfileJob) -> u128 {
+    let mut shell = job.stash.clone();
+    let layers = std::mem::take(&mut shell.model.layers);
     let mut m = serde_json::Map::new();
     m.insert("schema".to_string(), CELL_SCHEMA.to_json_value());
     m.insert(
@@ -222,12 +230,28 @@ pub fn cell_key(job: &ProfileJob) -> u128 {
     );
     m.insert(
         "stash".to_string(),
-        serde_json::to_value(&job.stash).unwrap_or(serde_json::Value::Null),
+        serde_json::to_value(&shell).unwrap_or(serde_json::Value::Null),
     );
     let Ok(canonical) = serde_json::to_string(&serde_json::Value::Object(m)) else {
         unreachable!("value serialization is infallible")
     };
-    fnv128(canonical.as_bytes())
+    // The first empty `layers` array is the model's: the model is the
+    // first field of the stash, and strings escape their quotes.
+    let Some((head, tail)) = canonical.split_once(r#""layers":[]"#) else {
+        unreachable!("a model serializes its layers")
+    };
+    let mut h = Fnv128::new();
+    h.update(head.as_bytes());
+    h.update(br#""layers":["#);
+    for (i, layer) in layers.iter().enumerate() {
+        if i > 0 {
+            h.update(b",");
+        }
+        h.update(serde_json::to_string(layer).unwrap_or_default().as_bytes());
+    }
+    h.update(b"]");
+    h.update(tail.as_bytes());
+    h.finish()
 }
 
 /// Encodes a cell's record payload: canonical compact JSON wrapping the
@@ -274,15 +298,38 @@ fn journal_best_effort(store: &ResultStore, policy: &RetryPolicy, entry: &Journa
     let _ = with_retry(policy, || journal.append(store.io(), entry));
 }
 
+/// What consulting the store decided for one cell, before any
+/// simulation runs.
+enum Consult {
+    /// A verified record decoded to this report.
+    Resumed(StallReport),
+    /// The store read failed permanently.
+    Failed(FailReason),
+    /// The cell must be simulated. `recheck` defers the store lookup to
+    /// the cell's commit: an earlier cell with the same key commits
+    /// first, and its write is what a serial run would read back (the
+    /// cache makes the duplicate's simulation nearly free).
+    Simulate { recheck: bool },
+}
+
 /// Runs a sweep over `jobs`, optionally backed by a durable store.
 ///
-/// Cells run serially in input order (deterministic journal order; the
-/// cache and arena are shared across cells, so repeated reference-
-/// instance measurements are deduplicated exactly as in
-/// [`par_profile_many`]). With a store, each cell is consult-first and
-/// its fresh result is framed and atomically written before the next
-/// cell starts; without one, this is a plain storeless sweep producing
-/// the identical reports and CSV.
+/// Cells are simulated on [`profile_threads`] workers through the same
+/// in-order executor as [`par_profile_many`] (one arena per worker, the
+/// shared `cache` deduplicating reference-instance measurements) and
+/// committed on the calling thread in input order. With a store, the
+/// sweep runs in three phases: every cell's key is computed once and its
+/// `plan` line journaled; every cell is consulted in input order, a
+/// verified record being the cell's result; then the misses are
+/// simulated and each result is framed, atomically written and
+/// journaled once every earlier cell has been. Every store operation
+/// runs on the calling thread, so the journal and the order of record
+/// writes do not depend on the worker count; only the reads move ahead
+/// of the writes. A killed sweep loses at most the computed cells still
+/// waiting to commit: those behind an earlier cell that is still being
+/// simulated, or that arrived while the calling thread was simulating a
+/// cell of its own. Without a store, this is a plain storeless sweep
+/// producing the identical reports and CSV.
 ///
 /// Never aborts on a failed cell: failures land in the outcome with
 /// typed reasons, and the caller maps `outcome.failed() > 0` to its
@@ -296,114 +343,155 @@ pub fn run_sweep(
     policy: &RetryPolicy,
     cache: &MeasurementCache,
 ) -> SweepOutcome {
-    let mut arena = EngineArena::new();
-    let mut outcome = SweepOutcome::default();
+    run_sweep_on(jobs, store, policy, cache, profile_threads())
+}
 
-    // Write-ahead intent: journal a plan line for *every* cell before any
-    // work starts, so a sweep killed in cell 2 of 10 still resumes all
-    // ten — including the cells it never reached.
+/// [`run_sweep`] on an explicit number of simulation workers.
+pub(crate) fn run_sweep_on(
+    jobs: &[ProfileJob],
+    store: Option<&ResultStore>,
+    policy: &RetryPolicy,
+    cache: &MeasurementCache,
+    workers: usize,
+) -> SweepOutcome {
+    let keys: Vec<u128> = jobs.iter().map(cell_key).collect();
+    let hexes: Vec<String> = keys.iter().map(|&key| key_hex(key)).collect();
+
+    // Phase 1, write-ahead intent: journal a plan line for *every* cell
+    // before any work starts, so a sweep killed in cell 2 of 10 still
+    // resumes all ten — including the cells it never reached.
     if let Some(store) = store {
-        for job in jobs {
-            let hex = key_hex(cell_key(job));
+        for (job, hex) in jobs.iter().zip(&hexes) {
             let descriptor = serde_json::to_string(&cell_descriptor(job)).unwrap_or_default();
-            journal_best_effort(store, policy, &JournalEntry::plan(&hex, &descriptor));
+            journal_best_effort(store, policy, &JournalEntry::plan(hex, &descriptor));
         }
     }
 
-    for job in jobs {
-        let key = cell_key(job);
-        let hex = key_hex(key);
-        let mut cell = CellOutcome {
-            key: hex.clone(),
-            cluster: job.cluster.display_name(),
-            model: job.stash.model().name.clone(),
-            per_gpu_batch: job.stash.per_gpu_batch(),
-            report: None,
-            status: CellStatus::Computed,
+    // Phase 2, consult-first: a verified record is the result. Nothing
+    // is journaled yet; each cell's line is written at its commit.
+    let mut consults = Vec::with_capacity(jobs.len());
+    let mut uncommitted = std::collections::HashSet::new();
+    for &key in &keys {
+        let consult = match store {
+            None => Consult::Simulate { recheck: false },
+            Some(_) if uncommitted.contains(&key) => Consult::Simulate { recheck: true },
+            Some(store) => consult(store, policy, key),
         };
-
-        if let Some(store) = store {
-            // Consult-first: a verified record is the result.
-            let fetched = with_retry(policy, || store.get(key).map_err(io::Error::other));
-            match fetched {
-                // A verified hit whose payload decodes is the result; a
-                // valid frame with a stale/foreign payload is recomputed
-                // and overwritten below.
-                Ok(Fetch::Hit(payload)) => {
-                    if let Ok(report) = decode_cell_record(&payload) {
-                        cell.report = Some(report);
-                        cell.status = CellStatus::Resumed;
-                        journal_best_effort(store, policy, &JournalEntry::done(&hex));
-                        outcome.cells.push(cell);
-                        continue;
-                    }
-                }
-                // Miss or quarantined-corrupt: recompute below.
-                Ok(Fetch::Miss | Fetch::Quarantined { .. }) => {}
-                Err(reason) => {
-                    journal_best_effort(
-                        store,
-                        policy,
-                        &JournalEntry::fail(&hex, &reason.to_json()),
-                    );
-                    cell.status = CellStatus::Failed(reason);
-                    outcome.cells.push(cell);
-                    continue;
-                }
-            }
+        if !matches!(consult, Consult::Resumed(_)) {
+            uncommitted.insert(key);
         }
+        consults.push(consult);
+    }
 
-        // Simulate. Profile errors are permanent: typed, never retried.
-        let report = match job
-            .stash
-            .profile_serial_in(&job.cluster, Some(cache), &mut arena)
-        {
-            Ok(r) => r,
-            Err(e) => {
-                let reason = FailReason::Profile {
-                    error: e.to_string(),
+    // Phase 3: simulate the misses, committing every cell in input order.
+    let misses: Vec<usize> = (0..jobs.len())
+        .filter(|&i| matches!(consults[i], Consult::Simulate { .. }))
+        .collect();
+    let miss_jobs: Vec<&ProfileJob> = misses.iter().map(|&i| &jobs[i]).collect();
+    let mut consults = consults.into_iter();
+    let mut cells = Vec::with_capacity(jobs.len());
+    // Commits every cell up to and including `last`: the consulted ones
+    // from their consult, `last` itself from its simulation `result`.
+    let mut commit_through =
+        |last: usize, mut result: Option<Result<StallReport, ProfileError>>| {
+            while cells.len() <= last {
+                let i = cells.len();
+                let Some(consult) = consults.next() else {
+                    break;
+                };
+                let delivered = if i == last { result.take() } else { None };
+                let (report, status) = match (consult, delivered) {
+                    (Consult::Resumed(report), None) => (Some(report), CellStatus::Resumed),
+                    (Consult::Failed(reason), None) => (None, CellStatus::Failed(reason)),
+                    (Consult::Simulate { recheck }, Some(result)) => {
+                        simulated(store, policy, &jobs[i], keys[i], recheck, result)
+                    }
+                    _ => unreachable!("exactly the simulated cells are delivered"),
                 };
                 if let Some(store) = store {
-                    journal_best_effort(
-                        store,
-                        policy,
-                        &JournalEntry::fail(&hex, &reason.to_json()),
-                    );
+                    journal_status(store, policy, &hexes[i], &status);
                 }
-                cell.status = CellStatus::Failed(reason);
-                outcome.cells.push(cell);
-                continue;
+                cells.push(CellOutcome {
+                    key: hexes[i].clone(),
+                    cluster: jobs[i].cluster.display_name(),
+                    model: jobs[i].stash.model().name.clone(),
+                    per_gpu_batch: jobs[i].stash.per_gpu_batch(),
+                    report,
+                    status,
+                });
             }
         };
+    profile_in_order(&miss_jobs, Some(cache), workers, |k, result| {
+        commit_through(misses[k], Some(result));
+    });
+    commit_through(jobs.len(), None);
+    SweepOutcome { cells }
+}
 
-        if let Some(store) = store {
-            let payload = encode_cell_record(job, &report);
-            match with_retry(policy, || {
-                store.put(key, &payload).map_err(io::Error::other)
-            }) {
-                Ok(()) => {
-                    journal_best_effort(store, policy, &JournalEntry::done(&hex));
-                }
-                Err(reason) => {
-                    // Computed but not durable: report the result, flag
-                    // the cell — a resumed run must re-run it.
-                    journal_best_effort(
-                        store,
-                        policy,
-                        &JournalEntry::fail(&hex, &reason.to_json()),
-                    );
-                    cell.report = Some(report);
-                    cell.status = CellStatus::Failed(reason);
-                    outcome.cells.push(cell);
-                    continue;
-                }
-            }
-        }
-
-        cell.report = Some(report);
-        outcome.cells.push(cell);
+/// Consults the store for one cell.
+fn consult(store: &ResultStore, policy: &RetryPolicy, key: u128) -> Consult {
+    match with_retry(policy, || store.get(key).map_err(io::Error::other)) {
+        // A verified hit whose payload decodes is the result; a valid
+        // frame with a stale/foreign payload is recomputed and
+        // overwritten.
+        Ok(Fetch::Hit(payload)) => match decode_cell_record(&payload) {
+            Ok(report) => Consult::Resumed(report),
+            Err(_) => Consult::Simulate { recheck: false },
+        },
+        // Miss or quarantined-corrupt: recompute.
+        Ok(Fetch::Miss | Fetch::Quarantined { .. }) => Consult::Simulate { recheck: false },
+        Err(reason) => Consult::Failed(reason),
     }
-    outcome
+}
+
+/// The outcome of a simulated cell: the deferred lookup when `recheck`,
+/// then, with a store, the durable write of a fresh result. Profile
+/// errors are permanent: typed, never retried.
+fn simulated(
+    store: Option<&ResultStore>,
+    policy: &RetryPolicy,
+    job: &ProfileJob,
+    key: u128,
+    recheck: bool,
+    result: Result<StallReport, ProfileError>,
+) -> (Option<StallReport>, CellStatus) {
+    if let (Some(store), true) = (store, recheck) {
+        match consult(store, policy, key) {
+            Consult::Resumed(report) => return (Some(report), CellStatus::Resumed),
+            Consult::Failed(reason) => return (None, CellStatus::Failed(reason)),
+            Consult::Simulate { .. } => {}
+        }
+    }
+    let report = match result {
+        Ok(report) => report,
+        Err(e) => {
+            let reason = FailReason::Profile {
+                error: e.to_string(),
+            };
+            return (None, CellStatus::Failed(reason));
+        }
+    };
+    let Some(store) = store else {
+        return (Some(report), CellStatus::Computed);
+    };
+    let payload = encode_cell_record(job, &report);
+    match with_retry(policy, || {
+        store.put(key, &payload).map_err(io::Error::other)
+    }) {
+        Ok(()) => (Some(report), CellStatus::Computed),
+        // Computed but not durable: report the result, flag the cell —
+        // a resumed run must re-run it.
+        Err(reason) => (Some(report), CellStatus::Failed(reason)),
+    }
+}
+
+/// Journals a committed cell's `done` or `fail` line.
+fn journal_status(store: &ResultStore, policy: &RetryPolicy, hex: &str, status: &CellStatus) {
+    let entry = match status {
+        CellStatus::Failed(reason) => JournalEntry::fail(hex, &reason.to_json()),
+        CellStatus::Computed | CellStatus::Resumed => JournalEntry::done(hex),
+    };
+    journal_best_effort(store, policy, &entry);
 }
 
 #[cfg(test)]
@@ -451,6 +539,33 @@ mod tests {
         assert_eq!(cell_key(&jobs[0]), cell_key(&jobs[0]));
         assert_ne!(cell_key(&jobs[0]), cell_key(&jobs[1]));
         assert_ne!(cell_key(&jobs[1]), cell_key(&jobs[2]));
+    }
+
+    #[test]
+    fn cell_keys_hash_the_whole_configuration_document() {
+        for (model, _) in zoo::all_models() {
+            for cluster in [
+                ClusterSpec::single(p3_2xlarge()),
+                ClusterSpec::homogeneous(p3_8xlarge(), 2),
+            ] {
+                let job = ProfileJob {
+                    stash: Stash::new(model.clone()).with_epoch_samples(20_000),
+                    cluster,
+                };
+                let document = serde_json::json!({
+                    "schema": CELL_SCHEMA,
+                    "cluster": job.cluster.display_name(),
+                    "stash": job.stash
+                });
+                let whole = serde_json::to_string(&document).unwrap();
+                assert_eq!(
+                    cell_key(&job),
+                    stash_store::fnv128(whole.as_bytes()),
+                    "{}",
+                    model.name
+                );
+            }
+        }
     }
 
     #[test]
@@ -578,5 +693,88 @@ mod tests {
             .iter()
             .any(|e| e.op == "fail" && e.detail.contains("Profile")));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn failed_cell_between_computed_cells_commits_in_input_order() {
+        use stash_hwtopo::instance::p3_16xlarge;
+        let mut jobs = jobs();
+        // 3x p3.16xlarge = 24 GPUs: no reference instance, so the cell
+        // fails while its neighbours on either side are simulated.
+        jobs.insert(
+            1,
+            ProfileJob {
+                stash: jobs[0].stash.clone(),
+                cluster: ClusterSpec::homogeneous(p3_16xlarge(), 3),
+            },
+        );
+        let policy = RetryPolicy::default();
+        let mut journals = Vec::new();
+        for workers in [1, 4] {
+            let root = tmp(&format!("order_{workers}"));
+            let store = ResultStore::open(&root, Box::new(StdFs::new())).unwrap();
+            let out = run_sweep_on(
+                &jobs,
+                Some(&store),
+                &policy,
+                &MeasurementCache::new(),
+                workers,
+            );
+            let codes: Vec<&str> = out.cells.iter().map(|c| c.status.code()).collect();
+            assert_eq!(codes, ["computed", "profile-error", "computed", "computed"]);
+            let keys: Vec<String> = jobs.iter().map(|j| key_hex(cell_key(j))).collect();
+            let cell_keys: Vec<String> = out.cells.iter().map(|c| c.key.clone()).collect();
+            assert_eq!(cell_keys, keys);
+
+            // N plan lines, then one done/fail line per cell, both in
+            // input order.
+            let replay = store.journal().replay(store.io()).unwrap();
+            let (plans, commits) = replay.entries.split_at(jobs.len());
+            let ops: Vec<&str> = replay.entries.iter().map(|e| e.op.as_str()).collect();
+            assert_eq!(
+                ops,
+                ["plan", "plan", "plan", "plan", "done", "fail", "done", "done"]
+            );
+            for lines in [plans, commits] {
+                let order: Vec<String> = lines.iter().map(|e| e.key.clone()).collect();
+                assert_eq!(order, keys);
+            }
+
+            // The failed cell's neighbours are stored.
+            for i in [0, 2] {
+                assert!(matches!(
+                    store.get(cell_key(&jobs[i])).unwrap(),
+                    Fetch::Hit(_)
+                ));
+            }
+            assert!(matches!(
+                store.get(cell_key(&jobs[1])).unwrap(),
+                Fetch::Miss
+            ));
+            journals.push(std::fs::read(store.journal().path()).unwrap());
+            let _ = std::fs::remove_dir_all(&root);
+        }
+        assert_eq!(journals[0], journals[1], "journal bytes depend on workers");
+    }
+
+    #[test]
+    fn duplicate_cells_read_back_the_earlier_commit() {
+        let jobs = jobs();
+        let jobs = vec![jobs[0].clone(), jobs[1].clone(), jobs[0].clone()];
+        for workers in [1, 4] {
+            let root = tmp(&format!("dup_{workers}"));
+            let store = ResultStore::open(&root, Box::new(StdFs::new())).unwrap();
+            let out = run_sweep_on(
+                &jobs,
+                Some(&store),
+                &RetryPolicy::default(),
+                &MeasurementCache::new(),
+                workers,
+            );
+            let statuses: Vec<&str> = out.cells.iter().map(|c| c.status.code()).collect();
+            assert_eq!(statuses, ["computed", "computed", "resumed"]);
+            assert_eq!(out.cells[0].report, out.cells[2].report);
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 }

@@ -41,14 +41,51 @@ pub mod store;
 /// store, the frame checksum and the sweep layer share one hash.
 #[must_use]
 pub fn fnv128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(PRIME);
+    let mut h = Fnv128::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv128`]: bytes fed in pieces hash exactly as their
+/// concatenation would. As a [`std::fmt::Write`] it hashes formatted
+/// output without building the string.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv128(u128);
+
+impl Fnv128 {
+    /// The hash of no bytes.
+    #[must_use]
+    pub const fn new() -> Fnv128 {
+        Fnv128(0x6c62_272e_07bb_0142_62b8_2175_6295_c58d)
     }
-    h
+
+    /// Feeds `bytes`.
+    pub fn update(&mut self, bytes: &[u8]) {
+        const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
+        for &b in bytes {
+            self.0 ^= u128::from(b);
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+
+    /// The hash of everything fed so far.
+    #[must_use]
+    pub const fn finish(self) -> u128 {
+        self.0
+    }
+}
+
+impl Default for Fnv128 {
+    fn default() -> Fnv128 {
+        Fnv128::new()
+    }
+}
+
+impl std::fmt::Write for Fnv128 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Renders a store key as the fixed-width lowercase hex used for record
@@ -74,7 +111,7 @@ pub mod prelude {
     pub use crate::journal::{Journal, JournalEntry, JournalReplay};
     pub use crate::retry::{with_retry, FailReason, RetryPolicy};
     pub use crate::store::{Fetch, FsckIssue, FsckReport, ResultStore, StoreError};
-    pub use crate::{fnv128, key_hex, parse_key_hex};
+    pub use crate::{fnv128, key_hex, parse_key_hex, Fnv128};
 }
 
 #[cfg(test)]
@@ -88,6 +125,11 @@ mod tests {
         // hashes to the offset basis.
         assert_eq!(fnv128(b""), 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d);
         assert_ne!(fnv128(b"a"), fnv128(b"b"));
+        let mut h = Fnv128::new();
+        h.update(b"ab");
+        h.update(b"");
+        std::fmt::Write::write_str(&mut h, "cd").unwrap();
+        assert_eq!(h.finish(), fnv128(b"abcd"));
     }
 
     #[test]

@@ -165,11 +165,17 @@ assert doc["events"], "flight dump recorded no events"
 PY
 
 # Durable-sweep smoke: a cold sweep lands every cell in the checksummed
-# store; a resumed run serves all of them back and agrees with the cold
+# store; the same sweep on one worker writes the identical CSV and
+# journal; a resumed run serves every cell back and agrees with the cold
 # CSV on every value (only the status column may change).
-rm -rf /tmp/stash_tier1_store
+rm -rf /tmp/stash_tier1_store /tmp/stash_tier1_store_serial
 ./target/release/stash sweep --models AlexNet,ResNet18 --clusters p3.2xlarge \
     --store /tmp/stash_tier1_store --out /tmp/stash_tier1_sweep_cold.csv >/dev/null
+STASH_BENCH_THREADS=1 ./target/release/stash sweep --models AlexNet,ResNet18 \
+    --clusters p3.2xlarge --store /tmp/stash_tier1_store_serial \
+    --out /tmp/stash_tier1_sweep_serial.csv >/dev/null
+cmp /tmp/stash_tier1_sweep_cold.csv /tmp/stash_tier1_sweep_serial.csv
+cmp /tmp/stash_tier1_store/journal.log /tmp/stash_tier1_store_serial/journal.log
 sweep_out=$(./target/release/stash sweep --store /tmp/stash_tier1_store --resume \
     --out /tmp/stash_tier1_sweep_warm.csv)
 grep -q "0 computed, 2 resumed, 0 failed" <<<"$sweep_out"

@@ -170,3 +170,109 @@ fn failed_cells_degrade_gracefully_with_exit_class_2() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every file in `dir`, by name, with its bytes.
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut v: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let p = e.unwrap().path();
+            (
+                p.file_name().unwrap().to_string_lossy().into_owned(),
+                std::fs::read(&p).unwrap(),
+            )
+        })
+        .collect();
+    v.sort();
+    v
+}
+
+/// `stash sweep` with `STASH_BENCH_THREADS` set for the child process
+/// only.
+fn sweep_on_threads(threads: &str, args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_stash"))
+        .arg("sweep")
+        .args(args)
+        .env("STASH_BENCH_THREADS", threads)
+        .output()
+        .expect("run stash binary")
+}
+
+#[test]
+fn one_and_four_workers_write_identical_csv_records_and_journal() {
+    let dir = scratch("threads");
+    // p3.16xlarge and p3.8xlarge*2 measure steps 1/2 on the same
+    // reference instance, so concurrent workers share those measurements
+    // through the single-flight cache.
+    let grid = [
+        "--models",
+        "AlexNet,ResNet18",
+        "--clusters",
+        "p3.16xlarge,p3.8xlarge*2,p3.2xlarge",
+    ];
+    for (tag, extra) in [
+        ("cold", &[][..]),
+        ("faulted", &["--io-fault-seed", "42"][..]),
+    ] {
+        let mut runs = Vec::new();
+        for threads in ["1", "4"] {
+            let store = dir.join(format!("{tag}_{threads}"));
+            let csv = dir.join(format!("{tag}_{threads}.csv"));
+            let (store_arg, csv_arg) = (store.to_str().unwrap(), csv.to_str().unwrap());
+            let args = [&grid[..], &["--store", store_arg, "--out", csv_arg], extra].concat();
+            let out = sweep_on_threads(threads, &args);
+            assert!(out.status.success(), "{tag} sweep on {threads}: {out:?}");
+            let cold = (
+                read(&csv),
+                files(&store.join("records")),
+                std::fs::read(store.join("journal.log")).unwrap(),
+            );
+            assert!(cold.0.lines().skip(1).all(|l| l.ends_with(",computed")));
+
+            // Lose one record, then resume: that cell is recomputed, the
+            // rest are served from the store.
+            let (victim, _) = &cold.1[0];
+            std::fs::remove_file(store.join("records").join(victim)).unwrap();
+            let resumed_csv = dir.join(format!("{tag}_{threads}_resumed.csv"));
+            let out = sweep_on_threads(
+                threads,
+                &[
+                    "--store",
+                    store_arg,
+                    "--resume",
+                    "--out",
+                    resumed_csv.to_str().unwrap(),
+                ],
+            );
+            assert!(out.status.success(), "{tag} resume on {threads}: {out:?}");
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            assert!(
+                stdout.contains("1 computed, 5 resumed, 0 failed"),
+                "{stdout}"
+            );
+            let resumed = (
+                read(&resumed_csv),
+                files(&store.join("records")),
+                std::fs::read(store.join("journal.log")).unwrap(),
+            );
+            assert_eq!(cold.1, resumed.1, "{tag} resume on {threads} records");
+            runs.push((cold, resumed));
+        }
+        let (one, four) = (&runs[0], &runs[1]);
+        for (phase, a, b) in [("cold", &one.0, &four.0), ("resumed", &one.1, &four.1)] {
+            assert_eq!(
+                a.0, b.0,
+                "{tag} {phase} CSV differs between 1 and 4 workers"
+            );
+            assert_eq!(
+                a.1, b.1,
+                "{tag} {phase} records differ between 1 and 4 workers"
+            );
+            assert_eq!(
+                a.2, b.2,
+                "{tag} {phase} journal differs between 1 and 4 workers"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
