@@ -80,11 +80,7 @@ pub fn p3_configs() -> Vec<ClusterSpec> {
 /// the benchmark iteration budget.
 #[must_use]
 pub fn bench_stash(model: Model, batch: u64) -> Stash {
-    let dataset = if model.name.starts_with("BERT") {
-        DatasetSpec::squad2()
-    } else {
-        DatasetSpec::imagenet1k()
-    };
+    let dataset = DatasetSpec::for_model(&model);
     Stash::new(model)
         .with_batch(batch)
         .with_dataset(dataset)

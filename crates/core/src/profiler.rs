@@ -36,22 +36,10 @@ use crate::report::{StallReport, StepTimes};
 /// DL's repetitiveness the same way: one epoch characterizes training).
 pub const DEFAULT_SAMPLED_ITERATIONS: u64 = 25;
 
-/// How a profile executes its five measurement steps.
-///
-/// The steps are independent simulations of a deterministic engine, so
-/// both modes produce bit-identical [`StallReport`]s; `Parallel` simply
-/// overlaps their wall-clock time on separate threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum ExecMode {
-    /// Run steps 1-5 one after another on the calling thread.
-    Serial,
-    /// Run the steps concurrently on scoped threads (one per step).
-    Parallel,
-}
-
-/// Number of worker threads sweep fan-out uses: the `STASH_BENCH_THREADS`
-/// environment variable when set (minimum 1), otherwise the machine's
-/// available parallelism.
+/// Number of worker threads every profiling fan-out uses (the steps of
+/// one profile, [`par_profile_many`] and the durable sweep): the
+/// `STASH_BENCH_THREADS` environment variable when set (minimum 1),
+/// otherwise the machine's available parallelism.
 #[must_use]
 pub fn profile_threads() -> usize {
     match std::env::var("STASH_BENCH_THREADS") {
@@ -242,9 +230,9 @@ impl Stash {
         }
     }
 
-    /// Builds the config of measurement step `step + 1`. The serial
-    /// paths build one step at a time, so a profile holds one copy of the
-    /// model rather than five.
+    /// Builds the config of measurement step `step + 1`. Every path
+    /// builds one step at a time, in the worker that measures it, so a
+    /// profile holds one copy of the model per worker rather than five.
     fn step_config(
         &self,
         cluster: &ClusterSpec,
@@ -285,8 +273,8 @@ impl Stash {
         cfg
     }
 
-    /// Runs the full Stash methodology against `cluster`, with the five
-    /// steps executed concurrently (they are independent simulations).
+    /// Runs the full Stash methodology against `cluster`, with the
+    /// independent steps spread over [`profile_threads`] workers.
     ///
     /// Single-instance clusters get steps 1-4 (`t5 = None`); multi-node
     /// clusters additionally get step 5, with steps 1/2 measured on the
@@ -297,7 +285,7 @@ impl Stash {
     /// Propagates engine errors (e.g. out-of-memory) and
     /// [`ProfileError::NoReference`] for unreferenced multi-node shapes.
     pub fn profile(&self, cluster: &ClusterSpec) -> Result<StallReport, ProfileError> {
-        self.profile_with(cluster, ExecMode::Parallel, None)
+        self.profile_on(cluster, None, profile_threads())
     }
 
     /// [`Stash::profile`] on the calling thread only — the original
@@ -307,7 +295,7 @@ impl Stash {
     ///
     /// As for [`Stash::profile`].
     pub fn profile_serial(&self, cluster: &ClusterSpec) -> Result<StallReport, ProfileError> {
-        self.profile_with(cluster, ExecMode::Serial, None)
+        self.profile_serial_in(cluster, None, &mut EngineArena::new())
     }
 
     /// [`Stash::profile`] backed by a measurement cache: steps whose
@@ -322,70 +310,43 @@ impl Stash {
         cluster: &ClusterSpec,
         cache: &MeasurementCache,
     ) -> Result<StallReport, ProfileError> {
-        self.profile_with(cluster, ExecMode::Parallel, Some(cache))
+        self.profile_on(cluster, Some(cache), profile_threads())
     }
 
-    /// The fully explicit profiling entry point: chooses serial or
-    /// parallel step execution and an optional measurement cache.
-    ///
-    /// All four combinations produce bit-identical reports: the engine is
-    /// deterministic, steps are independent, results are assembled in step
+    /// The steps on `workers` threads of the in-order executor, each step
+    /// config built inside its worker. Reports are bit-identical to
+    /// [`Stash::profile_serial`] for any worker count: the engine is
+    /// deterministic, steps are independent, results come back in step
     /// order, and on error the lowest-numbered failing step wins (exactly
-    /// the error serial execution would have surfaced first).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Stash::profile`].
-    pub fn profile_with(
+    /// the error the serial loop stops at).
+    pub(crate) fn profile_on(
         &self,
         cluster: &ClusterSpec,
-        mode: ExecMode,
         cache: Option<&MeasurementCache>,
+        workers: usize,
     ) -> Result<StallReport, ProfileError> {
-        match mode {
-            ExecMode::Serial => {
-                let mut arena = EngineArena::new();
-                self.profile_serial_in(cluster, cache, &mut arena)
-            }
-            ExecMode::Parallel => {
-                let reference = Self::reference_for(cluster)?;
-                let configs: Vec<TrainConfig> = (0..Self::step_count(cluster))
-                    .map(|step| self.step_config(cluster, &reference, step))
-                    .collect();
-                let results: Vec<Result<SimDuration, ProfileError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = configs
-                        .iter()
-                        .map(|cfg| {
-                            scope.spawn(move || {
-                                // Each step thread owns its arena (the
-                                // engine's state is deliberately !Send).
-                                let mut arena = EngineArena::new();
-                                measure_in(cache, cfg, &mut arena)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(r) => r,
-                            Err(_) => panic!("measurement step panicked"),
-                        })
-                        .collect()
-                });
-                let mut times: Vec<SimDuration> = Vec::with_capacity(configs.len());
-                for r in results {
-                    times.push(r?);
-                }
-                Ok(self.assemble_report(cluster, reference, &times))
-            }
-        }
+        let reference = Self::reference_for(cluster)?;
+        let mut results = Vec::with_capacity(Self::step_count(cluster));
+        in_order(
+            Self::step_count(cluster),
+            workers,
+            // A fresh arena per step keeps the arena-reuse counter that
+            // `stash perf` reports independent of the worker count.
+            |step, _| {
+                let cfg = self.step_config(cluster, &reference, step);
+                measure_in(cache, &cfg, &mut EngineArena::new())
+            },
+            |_, result| results.push(result),
+        );
+        let times = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok(self.assemble_report(cluster, reference, &times))
     }
 
     /// Serial profile that measures every step inside a caller-owned
     /// [`EngineArena`]: the five-step measurement ladder reuses one flow
     /// network and event queue, and a sweep looping over many points can
     /// pass the same arena to every profile. Reports are bit-identical to
-    /// the other execution modes.
+    /// [`Stash::profile`].
     ///
     /// # Errors
     ///
@@ -396,13 +357,20 @@ impl Stash {
         cache: Option<&MeasurementCache>,
         arena: &mut EngineArena,
     ) -> Result<StallReport, ProfileError> {
+        self.serial_steps(cluster, |_, cfg| measure_in(cache, cfg, arena))
+    }
+
+    /// The serial step loop: measures each step with `measure(step, cfg)`
+    /// and stops at the first error.
+    fn serial_steps(
+        &self,
+        cluster: &ClusterSpec,
+        mut measure: impl FnMut(usize, &TrainConfig) -> Result<SimDuration, ProfileError>,
+    ) -> Result<StallReport, ProfileError> {
         let reference = Self::reference_for(cluster)?;
-        let steps = Self::step_count(cluster);
-        let mut times: Vec<SimDuration> = Vec::with_capacity(steps);
-        for step in 0..steps {
-            let cfg = self.step_config(cluster, &reference, step);
-            times.push(measure_in(cache, &cfg, arena)?);
-        }
+        let times = (0..Self::step_count(cluster))
+            .map(|step| measure(step, &self.step_config(cluster, &reference, step)))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(self.assemble_report(cluster, reference, &times))
     }
 
@@ -434,7 +402,8 @@ impl Stash {
     /// five independent simulations — each with its own clock starting at
     /// zero — stay distinguishable in one sink. Each step is additionally
     /// stamped as a span on its [`stash_trace::TrackKind::Profiler`] lane
-    /// covering the step's (extrapolated) epoch time.
+    /// covering the step's (extrapolated) epoch time. It stays serial:
+    /// the tracer is shared through an `Rc`, so it cannot cross threads.
     ///
     /// The report is bit-identical to [`Stash::profile_serial`]; the
     /// tracer's process is restored to its previous value afterwards.
@@ -448,33 +417,21 @@ impl Stash {
         tracer: &SharedTracer,
     ) -> Result<StallReport, ProfileError> {
         const STEP_NAMES: [&str; 5] = ["t1", "t2", "t3", "t4", "t5"];
-        let reference = Self::reference_for(cluster)?;
-        let steps = Self::step_count(cluster);
         let prior_process = tracer.borrow().process();
-
-        let mut times: Vec<SimDuration> = Vec::with_capacity(steps);
-        for (step, name) in STEP_NAMES.iter().enumerate().take(steps) {
-            let cfg = self.step_config(cluster, &reference, step);
+        let out = self.serial_steps(cluster, |step, cfg| {
             tracer.borrow_mut().set_process(step as u32 + 1);
-            let result = run_epoch_traced(&cfg, tracer);
-            let report = match result {
-                Ok(r) => r,
-                Err(e) => {
-                    tracer.borrow_mut().set_process(prior_process);
-                    return Err(e.into());
-                }
-            };
+            let report = run_epoch_traced(cfg, tracer)?;
             tracer.borrow_mut().span(
                 Track::profiler(step),
                 Category::Solver,
-                name,
+                STEP_NAMES[step],
                 SimTime::ZERO,
                 SimTime::ZERO + report.epoch_time,
             );
-            times.push(report.epoch_time);
-        }
+            Ok(report.epoch_time)
+        });
         tracer.borrow_mut().set_process(prior_process);
-        Ok(self.assemble_report(cluster, reference, &times))
+        out
     }
 }
 
@@ -518,12 +475,13 @@ pub struct ProfileJob {
 /// Profiles many (profiler, cluster) jobs across [`profile_threads`]
 /// worker threads, returning one result per job in input order.
 ///
-/// Each worker runs whole jobs with [`ExecMode::Serial`] steps — the
-/// parallelism lives at the job level, so a sweep of dozens of
-/// instance x batch x model points saturates the machine without
-/// oversubscribing it with nested per-step threads. Passing a `cache`
-/// additionally deduplicates measurements shared between jobs (e.g. the
-/// reference-instance steps of multi-node points).
+/// Each worker runs whole jobs with serial steps
+/// ([`Stash::profile_serial_in`]) — the parallelism lives at the job
+/// level, so a sweep of dozens of instance x batch x model points
+/// saturates the machine without oversubscribing it with nested per-step
+/// threads. Passing a `cache` additionally deduplicates measurements
+/// shared between jobs (e.g. the reference-instance steps of multi-node
+/// points).
 ///
 /// Results are bit-identical to profiling the jobs one by one: jobs are
 /// independent, the engine is deterministic, and results are handed back
@@ -532,46 +490,53 @@ pub fn par_profile_many(
     jobs: &[ProfileJob],
     cache: Option<&MeasurementCache>,
 ) -> Vec<Result<StallReport, ProfileError>> {
-    let jobs: Vec<&ProfileJob> = jobs.iter().collect();
     let mut out = Vec::with_capacity(jobs.len());
-    profile_in_order(&jobs, cache, profile_threads(), |_, result| {
-        out.push(result)
-    });
+    in_order(
+        jobs.len(),
+        profile_threads(),
+        |i, arena| {
+            jobs[i]
+                .stash
+                .profile_serial_in(&jobs[i].cluster, cache, arena)
+        },
+        |_, result| out.push(result),
+    );
     out
 }
 
-/// The in-order parallel cell executor behind [`par_profile_many`] and
-/// the durable sweep runner.
+/// The in-order parallel executor behind every profiling fan-out: the
+/// steps of [`Stash::profile`], the jobs of [`par_profile_many`] and the
+/// misses of the durable sweep runner.
 ///
-/// `workers` threads claim jobs from a shared counter in input order,
-/// each simulating inside its own [`EngineArena`]: the calling thread
-/// plus `workers - 1` scoped threads. The caller works too because every
-/// extra thread costs resident memory, its own allocator heap above all
-/// (≈0.4 MiB per extra thread on the 24-cell durable sweep grid, glibc on
-/// x86-64); so one worker runs inline with no thread, and no jobs spawn
-/// nothing. Scoped workers send their results
-/// back over a channel; a reorder buffer on the calling thread hands
-/// every result to `deliver(index, result)` in ascending index order,
-/// draining the channel after each of its own jobs. Only finished
-/// [`StallReport`]s wait in the buffer, each leaving it the moment it is
-/// delivered. A panicking job propagates its panic to the caller.
-pub(crate) fn profile_in_order(
-    jobs: &[&ProfileJob],
-    cache: Option<&MeasurementCache>,
+/// `workers` threads claim the indices `0..count` from a shared counter
+/// in ascending order, each running `work(index, arena)` inside its own
+/// [`EngineArena`]: the calling thread plus `workers - 1` scoped threads.
+/// The caller works too because every extra thread costs resident memory,
+/// its own allocator heap above all (≈0.4 MiB per extra thread on the
+/// 24-cell durable sweep grid, glibc on x86-64); so one worker runs
+/// inline with no thread, and a zero count spawns nothing. Scoped workers
+/// send their results back over a channel; a reorder buffer on the
+/// calling thread hands every result to `deliver(index, result)` in
+/// ascending index order, draining the channel after each of its own
+/// items. Only finished results wait in the buffer, each leaving it the
+/// moment it is delivered. A panicking item propagates its panic to the
+/// caller.
+pub(crate) fn in_order<T: Send>(
+    count: usize,
     workers: usize,
-    mut deliver: impl FnMut(usize, Result<StallReport, ProfileError>),
+    work: impl Fn(usize, &mut EngineArena) -> T + Sync,
+    mut deliver: impl FnMut(usize, T),
 ) {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
     let next = AtomicUsize::new(0);
-    // Claims the next job in input order and simulates it in `arena`.
+    // Claims the next index in ascending order and runs it in `arena`.
     let run_next = |arena: &mut EngineArena| {
         let i = next.fetch_add(1, Ordering::Relaxed);
-        let job = jobs.get(i)?;
-        Some((i, job.stash.profile_serial_in(&job.cluster, cache, arena)))
+        (i < count).then(|| (i, work(i, arena)))
     };
-    let workers = workers.max(1).min(jobs.len());
+    let workers = workers.max(1).min(count);
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel();
         for _ in 1..workers {
@@ -589,8 +554,7 @@ pub(crate) fn profile_in_order(
         }
         drop(tx);
 
-        let mut buffered: Vec<Option<Result<StallReport, ProfileError>>> =
-            jobs.iter().map(|_| None).collect();
+        let mut buffered: Vec<Option<T>> = (0..count).map(|_| None).collect();
         let mut due = 0;
         let mut accept = |i: usize, result| {
             buffered[i] = Some(result);
@@ -658,23 +622,7 @@ impl DsAnalyzer {
     ///
     /// Propagates engine errors.
     pub fn profile(&self, instance: InstanceType) -> Result<StallReport, ProfileError> {
-        self.profile_with(instance, ExecMode::Parallel, None)
-    }
-
-    /// [`DsAnalyzer::profile`] with explicit execution mode and optional
-    /// measurement cache, mirroring [`Stash::profile_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors.
-    pub fn profile_with(
-        &self,
-        instance: InstanceType,
-        mode: ExecMode,
-        cache: Option<&MeasurementCache>,
-    ) -> Result<StallReport, ProfileError> {
-        let cluster = ClusterSpec::single(instance);
-        let mut report = self.inner.profile_with(&cluster, mode, cache)?;
+        let mut report = self.inner.profile(&ClusterSpec::single(instance))?;
         report.times.t1 = None;
         report.times.t5 = None;
         Ok(report)
@@ -751,15 +699,6 @@ mod tests {
             .unwrap();
         let cpu = r.cpu_stall_pct().unwrap();
         assert!(cpu < 15.0, "CPU stall should be small, got {cpu}%");
-    }
-
-    #[test]
-    fn serial_and_parallel_profiles_are_bit_identical() {
-        let stash = quick(zoo::resnet18());
-        let cluster = ClusterSpec::homogeneous(p3_8xlarge(), 2);
-        let serial = stash.profile_serial(&cluster).unwrap();
-        let parallel = stash.profile(&cluster).unwrap();
-        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -840,14 +779,22 @@ mod tests {
                 cluster,
             })
             .collect();
-        let refs: Vec<&ProfileJob> = jobs.iter().collect();
         let run = |workers| {
             let cache = crate::cache::MeasurementCache::new();
             let mut out = Vec::new();
-            profile_in_order(&refs, Some(&cache), workers, |i, result| {
-                assert_eq!(i, out.len(), "delivered out of order");
-                out.push(result);
-            });
+            in_order(
+                jobs.len(),
+                workers,
+                |i, arena| {
+                    jobs[i]
+                        .stash
+                        .profile_serial_in(&jobs[i].cluster, Some(&cache), arena)
+                },
+                |i, result| {
+                    assert_eq!(i, out.len(), "delivered out of order");
+                    out.push(result);
+                },
+            );
             (out, cache.stats())
         };
         let (one, one_stats) = run(1);
@@ -856,7 +803,53 @@ mod tests {
         assert_eq!(one_stats, four_stats, "single-flight cache counters");
         assert!(matches!(one[2], Err(ProfileError::NoReference { .. })));
         assert_eq!(one, par_profile_many(&jobs, None));
-        profile_in_order(&[], None, 4, |_, _| panic!("no jobs, no deliveries"));
+        in_order(
+            0,
+            4,
+            |_, _| -> usize { panic!("no items, no work") },
+            |_, _| panic!("no items, no deliveries"),
+        );
+    }
+
+    #[test]
+    fn serial_and_parallel_profiles_are_bit_identical() {
+        let stash = quick(zoo::alexnet());
+        for cluster in [
+            ClusterSpec::single(p3_8xlarge()),
+            ClusterSpec::homogeneous(p3_8xlarge(), 2),
+        ] {
+            let serial = stash.profile_serial(&cluster).unwrap();
+            let mut stats = Vec::new();
+            for workers in [1, 2, 5] {
+                let cache = crate::cache::MeasurementCache::new();
+                let uncached = stash.profile_on(&cluster, None, workers).unwrap();
+                let cold = stash.profile_on(&cluster, Some(&cache), workers).unwrap();
+                let warm = stash.profile_on(&cluster, Some(&cache), workers).unwrap();
+                for report in [uncached, cold, warm] {
+                    assert_eq!(
+                        report,
+                        serial,
+                        "{} on {workers} workers",
+                        cluster.display_name()
+                    );
+                }
+                stats.push(cache.stats());
+            }
+            assert!(stats.windows(2).all(|w| w[0] == w[1]), "{stats:?}");
+        }
+
+        // DLRM does not fit a V100: every step fails, and the executor
+        // surfaces the error the serial loop stops at.
+        let oom = quick(zoo::dlrm());
+        let cluster = ClusterSpec::single(p3_16xlarge());
+        let want = oom.profile_serial(&cluster).unwrap_err();
+        assert!(matches!(
+            want,
+            ProfileError::Train(stash_ddl::error::TrainError::OutOfMemory { .. })
+        ));
+        for workers in [1, 2, 5] {
+            assert_eq!(oom.profile_on(&cluster, None, workers).unwrap_err(), want);
+        }
     }
 
     #[test]

@@ -23,13 +23,16 @@
 use std::io;
 
 use serde::Serialize;
+use stash_dnn::dataset::DatasetSpec;
+use stash_dnn::zoo;
+use stash_hwtopo::cluster::ClusterSpec;
 use stash_store::journal::JournalEntry;
 use stash_store::prelude::{with_retry, FailReason, Fetch, ResultStore, RetryPolicy};
 use stash_store::{key_hex, Fnv128};
 
 use crate::cache::MeasurementCache;
 use crate::error::ProfileError;
-use crate::profiler::{profile_in_order, profile_threads, ProfileJob};
+use crate::profiler::{in_order, profile_threads, ProfileJob, Stash};
 use crate::report::StallReport;
 
 /// Schema tag stamped into every cell record payload and journal plan.
@@ -176,8 +179,8 @@ impl SweepOutcome {
     }
 }
 
-/// The cell's self-describing journal/plan descriptor: everything the
-/// CLI needs to reconstruct the job on resume.
+/// The cell's self-describing journal/plan descriptor: everything
+/// [`decode_cell_descriptor`] needs to reconstruct the job on resume.
 #[must_use]
 pub fn cell_descriptor(job: &ProfileJob) -> serde_json::Value {
     let mut m = serde_json::Map::new();
@@ -207,6 +210,54 @@ pub fn cell_descriptor(job: &ProfileJob) -> serde_json::Value {
         job.stash.dataset().name.to_json_value(),
     );
     serde_json::Value::Object(m)
+}
+
+/// Reconstructs a sweep cell from its journal `plan` descriptor (the
+/// JSON text of a [`cell_descriptor`]), so a resumed sweep or a store
+/// repair re-runs exactly what the interrupted sweep intended.
+///
+/// # Errors
+///
+/// A description of what made the descriptor unusable: malformed JSON, a
+/// wrong or missing schema tag, a missing field, an unknown model or
+/// cluster, or a dataset other than the one the model trains on.
+pub fn decode_cell_descriptor(text: &str) -> Result<ProfileJob, String> {
+    let v: serde_json::Value =
+        serde_json::from_str(text).map_err(|e| format!("journal plan is not JSON: {e}"))?;
+    match v.get("schema").and_then(serde_json::Value::as_str) {
+        Some(CELL_SCHEMA) => {}
+        Some(other) => return Err(format!("unknown journal plan schema '{other}'")),
+        None => return Err("journal plan missing schema tag".to_string()),
+    }
+    let str_field = |k: &str| {
+        v.get(k)
+            .and_then(serde_json::Value::as_str)
+            .ok_or_else(|| format!("journal plan missing '{k}'"))
+    };
+    let u64_field = |k: &str| {
+        v.get(k)
+            .and_then(serde_json::Value::as_u64)
+            .ok_or_else(|| format!("journal plan missing '{k}'"))
+    };
+    let cluster = ClusterSpec::parse(str_field("cluster")?)?;
+    let model_name = str_field("model")?;
+    let model = zoo::by_name(model_name).ok_or_else(|| format!("unknown model '{model_name}'"))?;
+    let dataset = DatasetSpec::for_model(&model);
+    let mut stash = Stash::new(model)
+        .with_batch(u64_field("per_gpu_batch")?)
+        .with_dataset(dataset)
+        .with_sampled_iterations(u64_field("sampled_iterations")?);
+    if let Some(samples) = v.get("epoch_samples").and_then(serde_json::Value::as_u64) {
+        stash = stash.with_epoch_samples(samples);
+    }
+    let planned = str_field("dataset")?;
+    if planned != stash.dataset().name {
+        return Err(format!(
+            "journal plan dataset '{planned}' does not match '{}' derived for the model",
+            stash.dataset().name
+        ));
+    }
+    Ok(ProfileJob { stash, cluster })
 }
 
 /// The cell's content address: FNV-128 over the canonical JSON of the
@@ -387,7 +438,6 @@ pub(crate) fn run_sweep_on(
     let misses: Vec<usize> = (0..jobs.len())
         .filter(|&i| matches!(consults[i], Consult::Simulate { .. }))
         .collect();
-    let miss_jobs: Vec<&ProfileJob> = misses.iter().map(|&i| &jobs[i]).collect();
     let mut consults = consults.into_iter();
     let mut cells = Vec::with_capacity(jobs.len());
     // Commits every cell up to and including `last`: the consulted ones
@@ -421,9 +471,16 @@ pub(crate) fn run_sweep_on(
                 });
             }
         };
-    profile_in_order(&miss_jobs, Some(cache), workers, |k, result| {
-        commit_through(misses[k], Some(result));
-    });
+    in_order(
+        misses.len(),
+        workers,
+        |k, arena| {
+            let job = &jobs[misses[k]];
+            job.stash
+                .profile_serial_in(&job.cluster, Some(cache), arena)
+        },
+        |k, result| commit_through(misses[k], Some(result)),
+    );
     commit_through(jobs.len(), None);
     SweepOutcome { cells }
 }
@@ -566,6 +623,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn cell_descriptors_decode_to_the_same_cell() {
+        for (model, _) in zoo::all_models() {
+            for cluster in [
+                ClusterSpec::single(p3_2xlarge()),
+                ClusterSpec::homogeneous(p3_8xlarge(), 2),
+            ] {
+                for epoch_samples in [None, Some(20_000)] {
+                    let dataset = DatasetSpec::for_model(&model);
+                    let mut stash = Stash::new(model.clone())
+                        .with_batch(32)
+                        .with_dataset(dataset)
+                        .with_sampled_iterations(6);
+                    if let Some(n) = epoch_samples {
+                        stash = stash.with_epoch_samples(n);
+                    }
+                    let job = ProfileJob {
+                        stash,
+                        cluster: cluster.clone(),
+                    };
+                    let text = serde_json::to_string(&cell_descriptor(&job)).unwrap();
+                    let decoded = decode_cell_descriptor(&text).unwrap();
+                    assert_eq!(cell_key(&decoded), cell_key(&job), "{text}");
+                }
+            }
+        }
+
+        // AlexNet on ImageNet: doctor one field of its descriptor text.
+        let text = serde_json::to_string(&cell_descriptor(&jobs()[0])).unwrap();
+        let rejects = |from: &str, to: &str, want: &str| {
+            assert!(text.contains(from), "{text}");
+            match decode_cell_descriptor(&text.replace(from, to)) {
+                Err(e) => assert!(e.contains(want), "{e}"),
+                Ok(_) => panic!("accepted a descriptor that should fail with '{want}'"),
+            }
+        };
+        rejects(CELL_SCHEMA, "stash-cell-v0", "unknown journal plan schema");
+        rejects("\"schema\"", "\"tag\"", "missing schema tag");
+        rejects("\"per_gpu_batch\"", "\"batch\"", "missing 'per_gpu_batch'");
+        rejects("ImageNet1k", "SQuAD 2.0", "does not match 'ImageNet1k'");
+        rejects("{", "{ not json", "not JSON");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, release build, full test suite, a compile check
 # of the out-of-workspace benchmark crate, lint-clean under clippy,
-# warning-free rustdoc, and CLI smoke tests for the trace, report, diff,
-# chaos, perf, dash and flight-recorder subcommand surface.
+# warning-free rustdoc, and CLI smoke tests for the profile, trace, report,
+# diff, chaos, perf, dash and flight-recorder subcommand surface.
 # Run from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,6 +24,14 @@ cargo clippy --workspace -- -D warnings
 # gate visible and catches regressions even if the workspace line changes.
 cargo clippy -p stash-faults -p stash-hwtopo -p stash-datapipe -p stash-collectives -p stash-telemetry -p stash-trace -p stash-simkit -p stash-flowsim -p stash-ddl -p stash-core -p stash-store -p stash-dnn -p stash-gpucompute -p stash-bench -p stash --lib -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+
+# Profile fan-out smoke: a profile's measurement steps run on the shared
+# in-order executor, so one worker and the default worker count must
+# print byte-identical reports.
+./target/release/stash profile resnet50 'p3.8xlarge*2' >/tmp/stash_tier1_profile.txt
+STASH_BENCH_THREADS=1 ./target/release/stash profile resnet50 'p3.8xlarge*2' \
+    >/tmp/stash_tier1_profile_serial.txt
+cmp /tmp/stash_tier1_profile.txt /tmp/stash_tier1_profile_serial.txt
 
 # Trace CLI smoke test. The `trace validated` line only prints after the
 # written file round-trips through `stash_trace::chrome::validate` — the

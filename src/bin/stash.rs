@@ -143,17 +143,8 @@ fn parse_batch(args: &[String]) -> Result<u64, String> {
     Ok(batch.unwrap_or(32))
 }
 
-/// The dataset a model trains on: SQuAD for BERT, ImageNet otherwise.
-fn dataset_for(model: &Model) -> DatasetSpec {
-    if model.name.starts_with("BERT") {
-        DatasetSpec::squad2()
-    } else {
-        DatasetSpec::imagenet1k()
-    }
-}
-
 fn stash_for(model: Model, batch: u64) -> Stash {
-    let dataset = dataset_for(&model);
+    let dataset = DatasetSpec::for_model(&model);
     Stash::new(model).with_batch(batch).with_dataset(dataset)
 }
 
@@ -221,7 +212,7 @@ fn traced_window(s: &Subject, batch: u64) -> TrainConfig {
     let mut cfg = TrainConfig::synthetic(s.cluster.clone(), s.model.clone(), batch, batch * 12);
     cfg.epoch_mode = EpochMode::Sampled { iterations: 12 };
     cfg.data = DataMode::Real {
-        dataset: dataset_for(&s.model),
+        dataset: DatasetSpec::for_model(&s.model),
         cache: CacheState::Warm,
     };
     cfg
@@ -689,6 +680,7 @@ fn cmd_perf(args: &[String]) -> CmdResult {
         Some(v) => return Err(format!("--format wants 'csv' or 'table', got '{v}'")),
     };
     let batch = parse_batch(args)?;
+    let out_flag = flag_val(args, &["--out", "-o"])?;
     // `perf sweep <model>` aggregates the advisor's default candidates;
     // anything else profiles one cluster. Either argument order works.
     let sweep_model = match (first.as_str(), second.as_str()) {
@@ -773,7 +765,7 @@ fn cmd_perf(args: &[String]) -> CmdResult {
         }
     }
 
-    let out_base = flag_val(args, &["--out", "-o"])?.map_or(default_base, str::to_string);
+    let out_base = out_flag.map_or(default_base, str::to_string);
     let prom_text = snap.render_prom();
     stash::telemetry::prom::validate(&prom_text)
         .map_err(|e| format!("telemetry exposition failed validation: {e}"))?;
@@ -1072,47 +1064,6 @@ fn cmd_dash(args: &[String]) -> CmdResult {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Reconstructs a sweep cell from its journal `plan` descriptor (the
-/// JSON written by `cell_descriptor`), so `--resume` and `fsck --repair`
-/// can re-run exactly what the interrupted sweep intended.
-fn job_from_descriptor(detail: &str) -> Result<ProfileJob, String> {
-    let v: serde_json::Value =
-        serde_json::from_str(detail).map_err(|e| format!("journal plan is not JSON: {e}"))?;
-    match v.get("schema").and_then(serde_json::Value::as_str) {
-        Some(s) if s == stash::core::sweep::CELL_SCHEMA => {}
-        Some(other) => return Err(format!("unknown journal plan schema '{other}'")),
-        None => return Err("journal plan missing schema tag".to_string()),
-    }
-    let str_field = |k: &str| {
-        v.get(k)
-            .and_then(serde_json::Value::as_str)
-            .ok_or_else(|| format!("journal plan missing '{k}'"))
-    };
-    let u64_field = |k: &str| {
-        v.get(k)
-            .and_then(serde_json::Value::as_u64)
-            .ok_or_else(|| format!("journal plan missing '{k}'"))
-    };
-    let cluster = parse_cluster(str_field("cluster")?)?;
-    let model = lookup_model(str_field("model")?)?;
-    let mut stash_p = stash_for(model, u64_field("per_gpu_batch")?)
-        .with_sampled_iterations(u64_field("sampled_iterations")?);
-    if let Some(samples) = v.get("epoch_samples").and_then(serde_json::Value::as_u64) {
-        stash_p = stash_p.with_epoch_samples(samples);
-    }
-    let dataset = str_field("dataset")?;
-    if stash_p.dataset().name != dataset {
-        return Err(format!(
-            "journal plan dataset '{dataset}' does not match '{}' derived for the model",
-            stash_p.dataset().name
-        ));
-    }
-    Ok(ProfileJob {
-        stash: stash_p,
-        cluster,
-    })
-}
-
 /// The record key a quarantine file holds the corpse of, from its
 /// `<32 hex>.rec.qN` name.
 fn quarantined_record_key(path: &std::path::Path) -> Option<String> {
@@ -1184,6 +1135,49 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
         ));
     }
 
+    // The flag-selected (or default) cluster x model grid and the output
+    // path, settled before any simulation or store I/O so a misused flag
+    // fails before the sweep touches anything.
+    let split = |flag: &str, defaults: &[&str]| -> Result<Vec<String>, String> {
+        Ok(flag_val(args, &[flag]).map_err(with_usage)?.map_or_else(
+            || defaults.iter().map(|s| (*s).to_string()).collect(),
+            |s| {
+                s.split(',')
+                    .map(str::trim)
+                    .filter(|p| !p.is_empty())
+                    .map(String::from)
+                    .collect()
+            },
+        ))
+    };
+    let cluster_specs = split("--clusters", &SWEEP_CLUSTERS)?;
+    let model_names = split("--models", &SWEEP_MODELS)?;
+    if cluster_specs.is_empty() || model_names.is_empty() {
+        return Err(with_usage("empty --clusters/--models list".to_string()));
+    }
+    let batch = parse_batch(args)?;
+    let mut jobs: Vec<ProfileJob> = Vec::new();
+    for cluster_spec in &cluster_specs {
+        let cluster = parse_cluster(cluster_spec)?;
+        for model_name in &model_names {
+            jobs.push(ProfileJob {
+                stash: stash_for(lookup_model(model_name)?, batch)
+                    .with_sampled_iterations(sampled_iterations)
+                    .with_epoch_samples(20_000),
+                cluster: cluster.clone(),
+            });
+        }
+    }
+    let out_path = flag_val(args, &["--out"])?.map_or_else(
+        || {
+            store_dir.map_or_else(
+                || "results/sweep.csv".to_string(),
+                |dir| format!("{dir}/results.csv"),
+            )
+        },
+        str::to_string,
+    );
+
     let store = match store_dir {
         Some(dir) => {
             let io: Box<dyn StoreIo> = match fault_plan {
@@ -1201,10 +1195,8 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
         None => None,
     };
 
-    // The cell list: on --resume, reconstruct it from the journal's plan
-    // lines (what the interrupted sweep intended); otherwise build the
-    // flag-selected (or default) cluster x model grid.
-    let mut jobs: Vec<ProfileJob> = Vec::new();
+    // On --resume, the journal's plan lines (what the interrupted sweep
+    // intended) replace the grid.
     if let (true, Some(store)) = (resume, &store) {
         let replay = store
             .journal()
@@ -1215,47 +1207,19 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
                 "sweep: journal has a torn tail (crash mid-append) — trusting the intact prefix"
             );
         }
-        for (key, detail) in &replay.planned_cells() {
-            jobs.push(
-                job_from_descriptor(detail)
-                    .map_err(|e| format!("journal plan for cell {key}: {e}"))?,
-            );
-        }
-        if jobs.is_empty() {
+        let planned = replay
+            .planned_cells()
+            .iter()
+            .map(|(key, detail)| {
+                stash::core::sweep::decode_cell_descriptor(detail)
+                    .map_err(|e| format!("journal plan for cell {key}: {e}"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if planned.is_empty() {
             println!("sweep: journal is empty — running a fresh sweep");
         } else {
-            println!("sweep: resuming {} journaled cell(s)", jobs.len());
-        }
-    }
-    if jobs.is_empty() {
-        let split = |flag: &str, defaults: &[&str]| -> Result<Vec<String>, String> {
-            Ok(flag_val(args, &[flag]).map_err(with_usage)?.map_or_else(
-                || defaults.iter().map(|s| (*s).to_string()).collect(),
-                |s| {
-                    s.split(',')
-                        .map(str::trim)
-                        .filter(|p| !p.is_empty())
-                        .map(String::from)
-                        .collect()
-                },
-            ))
-        };
-        let cluster_specs = split("--clusters", &SWEEP_CLUSTERS)?;
-        let model_names = split("--models", &SWEEP_MODELS)?;
-        if cluster_specs.is_empty() || model_names.is_empty() {
-            return Err(with_usage("empty --clusters/--models list".to_string()));
-        }
-        let batch = parse_batch(args)?;
-        for cluster_spec in &cluster_specs {
-            let cluster = parse_cluster(cluster_spec)?;
-            for model_name in &model_names {
-                jobs.push(ProfileJob {
-                    stash: stash_for(lookup_model(model_name)?, batch)
-                        .with_sampled_iterations(sampled_iterations)
-                        .with_epoch_samples(20_000),
-                    cluster: cluster.clone(),
-                });
-            }
+            println!("sweep: resuming {} journaled cell(s)", planned.len());
+            jobs = planned;
         }
     }
 
@@ -1280,15 +1244,6 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
         outcome.failed()
     );
 
-    let out_path = flag_val(args, &["--out"])?.map_or_else(
-        || {
-            store_dir.map_or_else(
-                || "results/sweep.csv".to_string(),
-                |dir| format!("{dir}/results.csv"),
-            )
-        },
-        str::to_string,
-    );
     write_creating_dirs(&out_path, &outcome.results_csv())?;
     println!("results written to {out_path}");
 
@@ -1364,7 +1319,7 @@ fn cmd_fsck(args: &[String]) -> CmdResult {
             eprintln!("cannot rebuild {key}: no journal plan for it");
             continue;
         };
-        match job_from_descriptor(detail) {
+        match stash::core::sweep::decode_cell_descriptor(detail) {
             Ok(job) => jobs.push(job),
             Err(e) => eprintln!("cannot rebuild {key}: {e}"),
         }

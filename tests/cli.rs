@@ -529,9 +529,11 @@ fn flag_misuse_fails_with_typed_errors_on_every_command() {
         &["chaos", "p3.2xlarge", "alexnet", "--series"],
         &["chaos", "p3.2xlarge", "alexnet", "--flight"],
         &["perf", "p3.2xlarge", "alexnet", "--format"],
+        &["perf", "p3.2xlarge", "alexnet", "--out"],
         &["dash", "stash_cli_no_such_dir", "--out"],
         &["sweep", "--store"],
         &["sweep", "--iters"],
+        &["sweep", "--out"],
     ];
     for args in trailing {
         let flag = args.last().unwrap();
@@ -543,6 +545,52 @@ fn flag_misuse_fails_with_typed_errors_on_every_command() {
             "{args:?}: {stderr}"
         );
     }
+
+    // Flags are checked before the sweep touches its store.
+    let dir = std::env::temp_dir().join("stash_cli_flag_misuse_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    let out = stash(&["sweep", "--store", store, "--out"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("--out wants a value"), "{stderr}");
+    assert!(
+        !dir.exists(),
+        "sweep created its store before rejecting --out"
+    );
+
+    // ...also on --resume, where the journal's cells replace the grid.
+    let seeded = stash(&[
+        "sweep",
+        "--models",
+        "AlexNet",
+        "--clusters",
+        "p3.2xlarge",
+        "--iters",
+        "2",
+        "--store",
+        store,
+    ]);
+    assert!(seeded.status.success(), "{seeded:?}");
+    let resumed: &[(&[&str], &str)] = &[
+        (
+            &["sweep", "--store", store, "--resume", "-b", "abc"],
+            "-b wants a positive integer, got 'abc'",
+        ),
+        (
+            &["sweep", "--store", store, "--resume", "--models"],
+            "--models wants a value",
+        ),
+    ];
+    for (args, want) in resumed {
+        let out = stash(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 
     // A malformed number is rejected, not replaced by the default batch
     // or regression threshold.
